@@ -20,7 +20,6 @@ lives in the paths module, and the two are held equal by tests.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -126,14 +125,12 @@ def pair_ci(tables: MaskTables, a, b, m: int):
 
     The overlap term counts shared negative columns against the fixed sign
     table; its orientation (second argument) is fixed by the row residue,
-    so callers must pass arguments in the documented pair order.
+    so callers must pass arguments in the documented pair order.  With
+    chains |a - rot_m(b)| + |b - rot_m(a)| and overlaps |b ^ rot_{-m}(a)|,
+    the sizes of a and b cancel and the difference is
+    |b & rot_{-m}(a)| - |b & rot_m(a)|, which is what is computed.
     """
-    c = (
-        tables.pc[a & ~tables.rot[m][b] & tables.full]
-        + tables.pc[b & ~tables.rot[m][a] & tables.full]
-    )
-    i = tables.pc[b ^ tables.irot[m][a]]
-    return (c - i).astype(np.int32)
+    return (tables.pc[b & tables.irot[m][a]] - tables.pc[b & tables.rot[m][a]]).astype(np.int32)
 
 
 # Coupled pair order (first, second) per row residue.  At rows 4m+2 the
@@ -167,23 +164,3 @@ def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
             ok &= v == 0
     return ok if ok.shape else bool(ok)
 
-
-def class_candidates(t: int, k: int, cls: int) -> np.ndarray:
-    """All masks a canonical subset may use in one class for budget size k.
-
-    Both sizes k and t-k realize the same per-row budget, and canonical
-    subsets never use the class's forbidden position, so the candidate
-    set is every mask of either size avoiding that position (every mask
-    of either size when the class has no forbidden position).
-    """
-    if not 0 <= k <= t:
-        raise ValueError(f"k={k} outside [0, {t}]")
-    avoid = forbidden_position(cls, t)
-    out = []
-    for size in {k, t - k}:
-        for combo in itertools.combinations(range(t), size):
-            m = mask_of(combo)
-            if avoid is not None and (m >> avoid) & 1:
-                continue
-            out.append(m)
-    return np.array(sorted(out), dtype=np.int64)

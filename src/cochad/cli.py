@@ -29,15 +29,7 @@ EXIT_ERROR = 2
 def _cmd_search(args: argparse.Namespace) -> int:
     report = run_search(args.t, distribution=args.distribution, jobs=args.jobs)
     for dist_report in report.reports:
-        print(
-            "distribution {}: ingredients {}, recipes {}, solution recipes {}, hadamard {}".format(
-                dist_report.distribution.entries,
-                dist_report.ingredient_counts,
-                dist_report.recipe_count,
-                dist_report.solution_recipe_count,
-                dist_report.hadamard_count,
-            )
-        )
+        print(dist_report.summary_line())
     print(f"candidates checked: {report.candidates_checked}")
     print(f"total hadamard: {report.hadamard_count}")
     if args.out is not None:

@@ -101,6 +101,26 @@ def enumerate_ingredients(t: int, k: int) -> IngredientCatalog:
     return IngredientCatalog(t, krep, krep * (t - krep) // 2, ordered)
 
 
+@lru_cache(maxsize=None)
+def class_masks(t: int, k: int, cls: int) -> tuple[tuple[Ingredient, tuple[int, ...]], ...]:
+    """Masks a canonical subset may use in one class, grouped by profile.
+
+    Every profile of the size-k catalog is realized by its masks and by
+    their complements (sizes k and t - k, which share the class budget);
+    masks covering the class's forbidden position are dropped.  Groups
+    keep the catalog's profile order and each mask tuple is sorted.
+    """
+    full = mask_tables(t).full
+    forb = forbidden_position(cls, t)
+    out = []
+    for ing, base in enumerate_ingredients(t, k).groups:
+        masks = base + tuple(m ^ full for m in base)
+        if forb is not None:
+            masks = tuple(m for m in masks if not (m >> forb) & 1)
+        out.append((ing, tuple(sorted(masks))))
+    return tuple(out)
+
+
 @dataclass(frozen=True, order=True)
 class Recipe:
     """One head profile per class, in class order (1, 2, 3, 0), jointly
@@ -164,21 +184,17 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
     """All canonical subsets whose classes realize the recipe's profiles.
 
     Each profile is tried at both sizes k and t - k, skipping masks that
-    cover a prohibited index position; results stream in lexicographic
-    mask order and satisfy the rows congruent to 1 by construction.
+    cover a prohibited index position (see class_masks); results stream
+    in lexicographic mask order and satisfy the rows congruent to 1 by
+    construction.
     """
     t = ctx.t
     if recipe.t != t:
         raise ValueError(f"recipe is for t={recipe.t}, context has t={t}")
-    tables = mask_tables(t)
-    per_class: list[list[int]] = []
-    for cls, ing in zip((1, 2, 3, 0), recipe.ingredients):
-        base = enumerate_ingredients(t, ing.k).masks_for(ing)
-        masks = list(base) + [m ^ tables.full for m in base]
-        forb = forbidden_position(cls, t)
-        if forb is not None:
-            masks = [m for m in masks if not (m >> forb) & 1]
-        per_class.append(sorted(masks))
+    per_class = [
+        dict(class_masks(t, ing.k, cls))[ing]
+        for cls, ing in zip((1, 2, 3, 0), recipe.ingredients)
+    ]
     for combo in product(*per_class):
         chosen = dict(zip((1, 2, 3, 0), combo))
         yield CoboundarySubset(ctx, frozenset(join_classes(t, chosen)))

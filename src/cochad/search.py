@@ -1,13 +1,19 @@
 """Pruned exhaustive search, the raw baseline, and matrix file IO.
 
 run_search walks the admissible budget distributions and, within each,
-every distinct assignment of budgets to classes.  The row conditions
-congruent to 1 and 2 factor through per-class head profiles plus one
-coupling score of the (1, 2) and (3, 0) class pairs, so each half of
-the candidate space packs into a single integer key per pair and the
-halves meet in a sorted join.  Joined candidates are filtered by the
-remaining residue-3 and residue-0 row conditions, and every survivor is
-certified by the direct orthogonality test before it is reported.
+every distinct assignment of budgets to classes.  The rows congruent
+to 1 see a class mask only through its head profile, so each
+assignment is joined in two steps.  First the profiles: every profile
+gets an integer code, and the code sums of class pairs (1, 2) are
+matched against t minus those of (3, 0); each match is one recipe,
+found without touching a single mask.  Then the masks: only matched
+profile pairs are expanded, in batches of at most _CHUNK_ROWS rows,
+and the two sides meet on one key per row, the matched profile group
+plus the coupling score per shift that balances the rows congruent
+to 2.  Joined candidates are filtered by the remaining residue-3 and
+residue-0 row conditions, and every survivor is certified by the
+direct orthogonality test before it is reported.  The recipe columns
+of the report come out of the same join.
 
 brute_force takes no shortcuts: it scans all 2^(4t-3) canonical subsets
 with the packed-bit row test, as an independent ground truth for small
@@ -18,6 +24,7 @@ exported, reloaded and re-verified.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitmask import class_candidates, join_classes, mask_tables, pair_ci, row_test_batch
+from .bitmask import join_classes, mask_tables, pair_ci, row_test_batch
 from .cocyclic import (
     CoboundarySubset,
     assemble_cocyclic,
@@ -36,14 +43,19 @@ from .cocyclic import (
 )
 from .distributions import Distribution, entry_class_size, enumerate_distributions
 from .group import GroupContext
-from .recipes import Recipe, distribution_ingredient_counts, enumerate_recipes, recipe_of
+from .recipes import Ingredient, Recipe, class_masks, distribution_ingredient_counts
 
-# The per-shift key fields need bases t+1 and 2t+1; ((t+1)(2t+1))^((t-1)/2)
-# must stay below 2^63, which holds through t = 15 and fails at 17.
+# A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
+# coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
+# Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
+# groups and the key fits through t = 19; the cap stays at 15 because
+# no larger t has been run to completion.
 _JOIN_LIMIT_T = 15
 
-# Upper bound on A-side pair rows materialized at once.
-_CHUNK_ROWS = 1 << 21
+# Upper bound on A-side pair rows materialized at once.  Measured on
+# run_search(13), 2 cores: 2^14 to 2^16 join equally fast, 2^17 and up
+# are slower and 2^13 slower again; peak RSS grows with the batch.
+_CHUNK_ROWS = 1 << 15
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
 _BRUTE_LIMIT_BITS = 25
@@ -74,6 +86,16 @@ class DistributionReport:
     @property
     def hadamard_count(self) -> int:
         return len(self.solutions)
+
+    def summary_line(self) -> str:
+        """The distribution's line in CLI output and in report.txt."""
+        return "distribution {}: ingredients {}, recipes {}, solution recipes {}, hadamard {}".format(
+            self.distribution.entries,
+            self.ingredient_counts,
+            self.recipe_count,
+            self.solution_recipe_count,
+            self.hadamard_count,
+        )
 
 
 @dataclass(frozen=True)
@@ -122,97 +144,182 @@ def _validate_t(t: int) -> None:
         raise ValueError(f"t must be odd and >= 3, got {t}")
 
 
-def _join_assignment(t, d1, d2, d3, d0):
+@dataclass(frozen=True)
+class _ClassMasks:
+    """One class's masks for one budget entry, as flat arrays.
+
+    The masks of profile i are flat[starts[i] : starts[i] + sizes[i]];
+    codes[i] packs the profile counts in base t + 1.
+    """
+
+    ingredients: tuple[Ingredient, ...]
+    codes: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    flat: np.ndarray
+
+
+def _profile_code(t: int, counts) -> int:
+    code = 0
+    for c in counts:
+        code = code * (t + 1) + c
+    return code
+
+
+def _class_side(t: int, entry: int, cls: int) -> _ClassMasks:
+    groups = class_masks(t, entry_class_size(t, entry), cls)
+    sizes = np.array([len(masks) for _, masks in groups], dtype=np.int64)
+    return _ClassMasks(
+        ingredients=tuple(ing for ing, _ in groups),
+        codes=np.array([_profile_code(t, ing.counts) for ing, _ in groups], dtype=np.int64),
+        sizes=sizes,
+        starts=np.cumsum(sizes) - sizes,
+        flat=np.array([m for _, masks in groups for m in masks], dtype=np.int64),
+    )
+
+
+def _matched_pairs(x: _ClassMasks, y: _ClassMasks, codes, sums):
+    """Profile pairs of two classes whose code is in sums, ordered by group.
+
+    codes holds one code per pair (x-major); a pair's group is the
+    position of its code in sums.  Returns the x and y profile indices,
+    the group of each pair and the exclusive prefix sum of the pair row
+    counts (one entry more than pairs).
+    """
+    matched = np.nonzero(np.isin(codes, sums))[0]
+    group = np.searchsorted(sums, codes[matched])
+    order = np.argsort(group, kind="stable")
+    px, py = np.divmod(matched[order], len(y.sizes))
+    edges = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
+    return px, py, group[order], edges
+
+
+def _pair_rows(x: _ClassMasks, y: _ClassMasks, px, py, edges, lo: int, hi: int):
+    """Rows lo..hi-1 of the concatenated products masks(px[p]) x masks(py[p]).
+
+    Returns the two mask columns and the pair index of each row.
+    """
+    first = int(np.searchsorted(edges, lo, side="right")) - 1
+    stop = int(np.searchsorted(edges, hi, side="left"))
+    counts = np.minimum(edges[first + 1 : stop + 1], hi) - np.maximum(edges[first:stop], lo)
+    pair = np.repeat(np.arange(first, stop), counts)
+    local = np.arange(lo, hi, dtype=np.int64) - edges[pair]
+    i, j = np.divmod(local, y.sizes[py[pair]])
+    u = x.flat[x.starts[px[pair]] + i]
+    v = y.flat[y.starts[py[pair]] + j]
+    return u, v, pair
+
+
+def _coupling_key(tables, group, u, v, sign: int):
+    """Pack the group and the per-shift coupling scores into one int64 key.
+
+    The A side keys pair_ci(u, v, m) + t and the B side t - pair_ci(u, v, m),
+    so equal keys mean every residue-2 row balances.
+    """
+    t = tables.t
+    key = group.astype(np.int64)
+    for m in range(1, tables.half + 1):
+        key = key * (2 * t + 1) + (sign * pair_ci(tables, u, v, m) + t)
+    return key
+
+
+def _join_assignment(t: int, c1: _ClassMasks, c2: _ClassMasks, c3: _ClassMasks, c0: _ClassMasks):
     """Mask 4-tuples satisfying all row conditions for one assignment.
 
-    Returns (solutions array of shape (n, 4), candidates checked).  The
-    B side (class pairs 3, 0) is keyed and sorted once; the A side
-    (class pairs 1, 2) streams through in chunks and joins by key.  A
-    key packs, per shift m, the profile sum and the coupling score, so
-    equal keys mean the residue-1 and residue-2 rows all balance.
+    Returns (masks (n, 4), profile indices (n, 4) into each class's
+    ingredients, recipe count, candidates checked).  Profiles are matched
+    first: an A profile pair (classes 1, 2) meets a B pair (classes 3,
+    0) when its code sum equals t in every digit minus the B pair's
+    codes, and each such meeting is one recipe.  Only matched pairs are
+    expanded to mask rows, in batches of whole groups holding at most
+    _CHUNK_ROWS A rows (a larger group streams its A rows in slices of
+    that size against its B rows), joined on (group, coupling scores).
     """
     tables = mask_tables(t)
     half = tables.half
-
-    b3 = np.repeat(d3, len(d0))
-    b0 = np.tile(d0, len(d3))
-    bkey = np.zeros(len(b3), dtype=np.int64)
-    ok_b = np.ones(len(b3), dtype=bool)
-    for m in range(1, half + 1):
-        ib = (t - tables.runs[m][b3] - tables.runs[m][b0]).astype(np.int64)
-        ok_b &= ib >= 0
-        cb = t - pair_ci(tables, b3, b0, m)
-        bkey = bkey * (t + 1) + np.maximum(ib, 0)
-        bkey = bkey * (2 * t + 1) + cb
-    b3, b0, bkey = b3[ok_b], b0[ok_b], bkey[ok_b]
-    order = np.argsort(bkey, kind="stable")
-    bkey, b3, b0 = bkey[order], b3[order], b0[order]
+    # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
+    # so a pair's digit sums stay below the base t + 1 and t minus a
+    # pair's digits stays positive; no carry or borrow can occur.
+    full = _profile_code(t, (t,) * half)
+    acodes = (c1.codes[:, None] + c2.codes[None, :]).ravel()
+    bcodes = (full - c3.codes[:, None] - c0.codes[None, :]).ravel()
+    sums = np.intersect1d(acodes, bcodes)
+    a1p, a2p, agroup, aedges = _matched_pairs(c1, c2, acodes, sums)
+    b3p, b0p, bgroup, bedges = _matched_pairs(c3, c0, bcodes, sums)
+    recipe_count = int(
+        np.dot(np.bincount(agroup, minlength=len(sums)), np.bincount(bgroup, minlength=len(sums)))
+    )
+    # Row offsets of each group's rows on either side.
+    bounds = np.arange(len(sums) + 1)
+    arow = aedges[np.searchsorted(agroup, bounds)]
+    brow = bedges[np.searchsorted(bgroup, bounds)]
 
     hits = []
+    profiles = []
     checked = 0
-    rows_per = max(1, _CHUNK_ROWS // max(len(d2), 1))
-    for start in range(0, len(d1), rows_per):
-        c1 = d1[start : start + rows_per]
-        a1 = np.repeat(c1, len(d2))
-        a2 = np.tile(d2, len(c1))
-        akey = np.zeros(len(a1), dtype=np.int64)
-        ok_a = np.ones(len(a1), dtype=bool)
-        for m in range(1, half + 1):
-            ia = (tables.runs[m][a1] + tables.runs[m][a2]).astype(np.int64)
-            ok_a &= ia <= t
-            ca = pair_ci(tables, a1, a2, m) + t
-            akey = akey * (t + 1) + np.minimum(ia, t)
-            akey = akey * (2 * t + 1) + ca
-        a1, a2, akey = a1[ok_a], a2[ok_a], akey[ok_a]
-        lo = np.searchsorted(bkey, akey, side="left")
-        hi = np.searchsorted(bkey, akey, side="right")
-        cnt = hi - lo
-        nz = np.nonzero(cnt)[0]
-        if len(nz) == 0:
-            continue
-        reps = cnt[nz]
-        total = int(reps.sum())
-        q1 = np.repeat(a1[nz], reps)
-        q2 = np.repeat(a2[nz], reps)
-        offs = np.zeros(len(reps), dtype=np.int64)
-        np.cumsum(reps[:-1], out=offs[1:])
-        idx = np.repeat(lo[nz], reps) + (np.arange(total) - np.repeat(offs, reps))
-        q3 = b3[idx]
-        q0 = b0[idx]
-        checked += total
-        keep = np.ones(total, dtype=bool)
-        for m in range(1, half + 1):
-            keep &= pair_ci(tables, q1, q3, m) + pair_ci(tables, q0, q2, m) == 0
-            keep &= pair_ci(tables, q1, q0, m) + pair_ci(tables, q3, q2, m) == 0
-        hits.append(np.stack([q1[keep], q2[keep], q3[keep], q0[keep]], axis=1))
+    g = 0
+    while g < len(sums):
+        h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
+        u3, u0, bpair = _pair_rows(c3, c0, b3p, b0p, bedges, brow[g], brow[h])
+        bkey = _coupling_key(tables, bgroup[bpair] - g, u3, u0, -1)
+        order = np.argsort(bkey)
+        bkey, u3, u0, bpair = bkey[order], u3[order], u0[order], bpair[order]
+        for lo in range(arow[g], arow[h], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, arow[h])
+            u1, u2, apair = _pair_rows(c1, c2, a1p, a2p, aedges, lo, hi)
+            akey = _coupling_key(tables, agroup[apair] - g, u1, u2, 1)
+            # Sorted probes walk bkey in order, which is several times
+            # faster than probing it at random.
+            aorder = np.argsort(akey)
+            akey = akey[aorder]
+            first = np.searchsorted(bkey, akey, side="left")
+            cnt = np.searchsorted(bkey, akey, side="right") - first
+            nz = np.nonzero(cnt)[0]
+            reps = cnt[nz]
+            total = int(reps.sum())
+            checked += total
+            offs = np.cumsum(reps) - reps
+            idx = np.repeat(first[nz] - offs, reps) + np.arange(total)
+            qa = aorder[np.repeat(nz, reps)]
+            # Residue-3 and residue-0 rows, one shift at a time on the survivors.
+            for m in range(1, half + 1):
+                q1, q2, q3, q0 = u1[qa], u2[qa], u3[idx], u0[idx]
+                keep = pair_ci(tables, q1, q3, m) + pair_ci(tables, q0, q2, m) == 0
+                keep &= pair_ci(tables, q1, q0, m) + pair_ci(tables, q3, q2, m) == 0
+                qa, idx = qa[keep], idx[keep]
+            pa, pb = apair[qa], bpair[idx]
+            hits.append(np.stack([u1[qa], u2[qa], u3[idx], u0[idx]], axis=1))
+            profiles.append(np.stack([a1p[pa], a2p[pa], b3p[pb], b0p[pb]], axis=1))
+        g = h
     if hits:
-        masks = np.concatenate(hits)
-    else:
-        masks = np.empty((0, 4), dtype=np.int64)
-    return masks, checked
+        return np.concatenate(hits), np.concatenate(profiles), recipe_count, checked
+    empty = np.empty((0, 4), dtype=np.int64)
+    return empty, empty, recipe_count, checked
 
 
 def _search_distribution(t: int, distribution: Distribution):
-    """All solution mask 4-tuples of one distribution, plus candidates checked."""
-    candidates = {}
-    for entry in set(distribution.entries):
-        k = entry_class_size(t, entry)
-        candidates[entry] = {cls: class_candidates(t, k, cls) for cls in (1, 2, 3, 0)}
-    solutions: list[tuple[int, int, int, int]] = []
+    """Solutions of one distribution as (masks, recipe) pairs, plus the
+    recipe count and the candidates checked."""
+    sides = {
+        (entry, cls): _class_side(t, entry, cls)
+        for entry in set(distribution.entries)
+        for cls in (1, 2, 3, 0)
+    }
+    solutions: list[tuple[tuple[int, int, int, int], Recipe]] = []
+    recipe_count = 0
     checked = 0
     for assignment in sorted(set(permutations(distribution.entries)), reverse=True):
-        masks, n = _join_assignment(
-            t,
-            candidates[assignment[0]][1],
-            candidates[assignment[1]][2],
-            candidates[assignment[2]][3],
-            candidates[assignment[3]][0],
-        )
-        checked += n
-        solutions.extend(map(tuple, masks.tolist()))
-    if len(set(solutions)) != len(solutions):
+        classes = [sides[entry, cls] for entry, cls in zip(assignment, (1, 2, 3, 0))]
+        masks, profiles, n_recipes, n_checked = _join_assignment(t, *classes)
+        recipe_count += n_recipes
+        checked += n_checked
+        for row, idx in zip(masks.tolist(), profiles.tolist()):
+            ings = tuple(side.ingredients[i] for side, i in zip(classes, idx))
+            solutions.append((tuple(row), Recipe(t, ings)))
+    if len({row for row, _ in solutions}) != len(solutions):
         raise AssertionError("assignments produced overlapping candidates")
-    return solutions, checked
+    return solutions, recipe_count, checked
 
 
 def run_search(
@@ -222,14 +329,12 @@ def run_search(
 
     distribution restricts the run to one distribution by its position
     in enumerate_distributions(t); jobs > 1 spreads distributions over
-    worker processes.  Every reported solution is certified with the
-    direct orthogonality test.
+    worker processes, at most one per distribution and per CPU.  Every
+    reported solution is certified with the direct orthogonality test.
     """
     _validate_t(t)
     if t > _JOIN_LIMIT_T:
-        raise ResourceLimitError(
-            f"join keys overflow 64 bits beyond t={_JOIN_LIMIT_T}, got t={t}"
-        )
+        raise ResourceLimitError(f"search is capped at t={_JOIN_LIMIT_T}, got t={t}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     everything = enumerate_distributions(t)
@@ -242,8 +347,10 @@ def run_search(
             )
         selected = (everything[distribution],)
 
-    if jobs > 1 and len(selected) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork pool starts all its workers at once, so size it by the work.
+    workers = min(jobs, len(selected), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_search_distribution, t), selected))
     else:
         outcomes = [_search_distribution(t, dist) for dist in selected]
@@ -251,21 +358,21 @@ def run_search(
     ctx = GroupContext(t)
     reports = []
     total_checked = 0
-    for dist, (mask_rows, checked) in zip(selected, outcomes):
+    for dist, (solutions, recipe_count, checked) in zip(selected, outcomes):
         total_checked += checked
         records = []
-        for row in mask_rows:
+        for row, recipe in solutions:
             chosen = dict(zip((1, 2, 3, 0), row))
             subset = CoboundarySubset(ctx, frozenset(join_classes(t, chosen)))
             if not is_hadamard_direct(assemble_cocyclic(subset)):
                 raise AssertionError(f"candidate failed certification: {subset}")
-            records.append(SolutionRecord(subset, recipe_of(subset)))
+            records.append(SolutionRecord(subset, recipe))
         records.sort(key=lambda rec: rec.subset.sorted_indices())
         reports.append(
             DistributionReport(
                 distribution=dist,
                 ingredient_counts=distribution_ingredient_counts(dist),
-                recipe_count=len(enumerate_recipes(dist)),
+                recipe_count=recipe_count,
                 solution_recipe_count=len({rec.recipe for rec in records}),
                 solutions=tuple(records),
             )
@@ -336,16 +443,7 @@ def export_solutions(report: SearchReport, directory) -> list[Path]:
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"t={report.t}", f"candidates checked: {report.candidates_checked}"]
-    for dist_report in report.reports:
-        lines.append(
-            "distribution {}: ingredients {}, recipes {}, solution recipes {}, hadamard {}".format(
-                dist_report.distribution.entries,
-                dist_report.ingredient_counts,
-                dist_report.recipe_count,
-                dist_report.solution_recipe_count,
-                dist_report.hadamard_count,
-            )
-        )
+    lines.extend(dist_report.summary_line() for dist_report in report.reports)
     lines.append(f"total hadamard: {report.hadamard_count}")
     written = []
     for record in report.solutions():

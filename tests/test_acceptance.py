@@ -143,7 +143,7 @@ def test_criterion_3_brute_force_counts():
 
 
 def test_criterion_4_search_equals_brute_force():
-    for t in (3, 5):
+    for t in (3, 5, 7):
         searched = {rec.subset.sorted_indices() for rec in run_search(t).solutions()}
         scanned = {s.sorted_indices() for s in brute_force(t).solutions}
         assert searched == scanned, t

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from cochad.bitmask import (
-    CLASS_ORDER,
-    class_candidates,
     forbidden_position,
     ingredient_counts,
     join_classes,
@@ -120,33 +118,3 @@ def test_pair_ci_vectorized_matches_scalar():
         for i in range(64):
             assert int(vec[i]) == int(pair_ci(tables, int(a[i]), int(b[i]), m))
 
-
-def test_class_candidates_sizes_and_avoidance():
-    t = 5
-    for cls in CLASS_ORDER:
-        for k in range(t + 1):
-            cands = class_candidates(t, k, cls)
-            avoid = forbidden_position(cls, t)
-            sizes = {k, t - k}
-            seen = set()
-            for mask in cands.tolist():
-                assert bin(mask).count("1") in sizes
-                if avoid is not None:
-                    assert not (mask >> avoid) & 1
-                seen.add(mask)
-            assert len(seen) == len(cands)
-            # every admissible mask is present
-            expected = sum(
-                1
-                for mask in range(1 << t)
-                if bin(mask).count("1") in sizes
-                and (avoid is None or not (mask >> avoid) & 1)
-            )
-            assert len(cands) == expected
-    with pytest.raises(ValueError):
-        class_candidates(5, 6, 2)
-
-
-def test_class_candidates_sorted():
-    cands = class_candidates(7, 3, 1)
-    assert np.all(np.diff(cands) > 0)

@@ -6,12 +6,14 @@ from math import comb
 import numpy as np
 import pytest
 
+from cochad.bitmask import CLASS_ORDER, forbidden_position
 from cochad.cocyclic import CoboundarySubset
 from cochad.distributions import enumerate_distributions
 from cochad.group import GroupContext
 from cochad.paths import check_residue_one_rows, is_hadamard_paths, row_adjacency
 from cochad.recipes import (
     Ingredient,
+    class_masks,
     distribution_ingredient_counts,
     enumerate_ingredients,
     enumerate_recipes,
@@ -119,6 +121,40 @@ def test_masks_for_unknown_ingredient():
     with pytest.raises(KeyError):
         catalog.masks_for(Ingredient((9, 9), 2))
 
+
+
+def test_class_masks_sizes_and_avoidance():
+    t = 5
+    for cls in CLASS_ORDER:
+        for k in range(t + 1):
+            groups = class_masks(t, k, cls)
+            avoid = forbidden_position(cls, t)
+            sizes = {k, t - k}
+            assert [ing for ing, _ in groups] == list(enumerate_ingredients(t, k).ingredients())
+            seen = set()
+            for ing, masks in groups:
+                for mask in masks:
+                    assert bin(mask).count("1") in sizes
+                    if avoid is not None:
+                        assert not (mask >> avoid) & 1
+                    assert ingredient_of(t, [p for p in range(t) if (mask >> p) & 1]) == ing
+                    seen.add(mask)
+            # every admissible mask is present exactly once
+            expected = {
+                mask
+                for mask in range(1 << t)
+                if bin(mask).count("1") in sizes
+                and (avoid is None or not (mask >> avoid) & 1)
+            }
+            assert seen == expected
+            assert sum(len(masks) for _, masks in groups) == len(expected)
+    with pytest.raises(ValueError):
+        class_masks(5, 6, 2)
+
+
+def test_class_masks_sorted():
+    for _, masks in class_masks(7, 3, 1):
+        assert list(masks) == sorted(set(masks))
 
 def test_distribution_ingredient_counts():
     by_t = {

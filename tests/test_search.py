@@ -2,8 +2,10 @@
 
 import pytest
 
+import cochad.search
 from cochad.cocyclic import assemble_cocyclic, is_hadamard_direct
-from cochad.recipes import recipe_of
+from cochad.distributions import enumerate_distributions
+from cochad.recipes import enumerate_recipes, recipe_of
 from cochad.search import (
     ResourceLimitError,
     brute_force,
@@ -84,6 +86,59 @@ def test_search_records_consistent():
     for record in report.solutions():
         assert recipe_of(record.subset) == record.recipe
         assert is_hadamard_direct(assemble_cocyclic(record.subset))
+
+
+def test_search_recipes_match_reference():
+    # The join counts recipes at profile level; enumerate_recipes builds
+    # them one by one.  Every solution's recipe must be one of them.
+    for t in (5, 7, 9):
+        report = run_search(t)
+        for dist, dist_report in zip(enumerate_distributions(t), report.reports):
+            reference = set(enumerate_recipes(dist))
+            assert dist_report.recipe_count == len(reference)
+            assert {rec.recipe for rec in dist_report.solutions} <= reference
+
+
+def test_join_batches_do_not_change_results(monkeypatch):
+    # A batch size far below the t = 9 group sizes splits groups and
+    # pair products across batches.
+    default = run_search(9)
+    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
+    tiny = run_search(9)
+    assert tiny.candidates_checked == default.candidates_checked == 130248
+    assert tiny == default
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_worker_pool_capped_by_work_and_cpus(monkeypatch):
+    monkeypatch.setattr(cochad.search, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    serial = run_search(7)
+
+    monkeypatch.setattr(cochad.search.os, "cpu_count", lambda: 64)
+    assert run_search(7, jobs=1000) == serial  # two distributions
+    monkeypatch.setattr(cochad.search.os, "cpu_count", lambda: 1)
+    assert run_search(7, jobs=8) == serial  # one CPU: no pool
+    monkeypatch.setattr(cochad.search.os, "cpu_count", lambda: None)
+    assert run_search(7, jobs=8) == serial  # unknown CPU count: no pool
+    assert _RecordingExecutor.sizes == [2]
 
 
 def test_search_single_distribution():
