@@ -4,71 +4,15 @@ Matrices of order 4t are assembled from a fixed representative table
 and a subset of coboundary tables; the Hadamard property reduces to
 exact row conditions on rows 5..2t+2, which a pruned exhaustive search
 decides through per-class head profiles without assembling anything.
+The package exports the entry points and exceptions a caller needs;
+the building blocks stay importable from their submodules.
 """
 
-from .cocyclic import (
-    CoboundarySubset,
-    MatrixFormatError,
-    RepresentationFamily,
-    RepresentativeTables,
-    assemble_cocyclic,
-    build_back_negacyclic,
-    build_coboundary,
-    build_representative,
-    canonicalize,
-    expand_representations,
-    format_matrix,
-    is_hadamard_direct,
-    is_hadamard_rowtest,
-    parse_matrix,
-    prohibited_indices,
-)
-from .distributions import (
-    Distribution,
-    coboundary_bounds,
-    entry_class_size,
-    enumerate_distributions,
-    greatest_triangular_leq,
-    is_triangular,
-)
-from .group import (
-    GroupContext,
-    GroupElement,
-    element_index,
-    identity,
-    index_element,
-    inverse,
-    multiply,
-)
-from .paths import (
-    PathStats,
-    RowAdjacency,
-    check_balance,
-    check_residue_one_rows,
-    fixed_negative_classes,
-    is_hadamard_paths,
-    path_partner,
-    row_adjacency,
-    row_stats,
-    row_sum_via_paths,
-)
-from .recipes import (
-    Ingredient,
-    IngredientCatalog,
-    Recipe,
-    distribution_ingredient_counts,
-    enumerate_ingredients,
-    enumerate_recipes,
-    expand_recipe,
-    ingredient_of,
-    recipe_of,
-)
+from .cocyclic import CoboundarySubset, MatrixFormatError, assemble_cocyclic, is_hadamard_direct
+from .group import GroupContext
+from .paths import is_hadamard_paths
 from .search import (
-    BruteForceReport,
-    DistributionReport,
     ResourceLimitError,
-    SearchReport,
-    SolutionRecord,
     brute_force,
     export_solutions,
     run_search,
@@ -76,60 +20,15 @@ from .search import (
 )
 
 __all__ = [
-    "BruteForceReport",
     "CoboundarySubset",
-    "Distribution",
-    "DistributionReport",
     "GroupContext",
-    "GroupElement",
-    "Ingredient",
-    "IngredientCatalog",
     "MatrixFormatError",
-    "PathStats",
-    "Recipe",
-    "RepresentationFamily",
-    "RepresentativeTables",
     "ResourceLimitError",
-    "RowAdjacency",
-    "SearchReport",
-    "SolutionRecord",
     "assemble_cocyclic",
     "brute_force",
-    "build_back_negacyclic",
-    "build_coboundary",
-    "build_representative",
-    "canonicalize",
-    "check_balance",
-    "check_residue_one_rows",
-    "coboundary_bounds",
-    "distribution_ingredient_counts",
-    "element_index",
-    "entry_class_size",
-    "enumerate_distributions",
-    "enumerate_ingredients",
-    "enumerate_recipes",
-    "expand_recipe",
-    "expand_representations",
     "export_solutions",
-    "fixed_negative_classes",
-    "format_matrix",
-    "greatest_triangular_leq",
-    "identity",
-    "index_element",
-    "ingredient_of",
-    "inverse",
     "is_hadamard_direct",
     "is_hadamard_paths",
-    "is_hadamard_rowtest",
-    "is_triangular",
-    "multiply",
-    "parse_matrix",
-    "path_partner",
-    "prohibited_indices",
-    "recipe_of",
-    "row_adjacency",
-    "row_stats",
-    "row_sum_via_paths",
     "run_search",
     "verify_matrix_file",
 ]

@@ -13,14 +13,17 @@ becomes a table lookup:
     count against the fixed sign table is popcount(b ^ rot_{-m}(a)).
 
 The zero-sum condition for a row of the assembled matrix is then a small
-integer identity per rotation shift m (see row_test_batch).  These
-kernels are the throughput path; the readable reference implementation
-lives in the paths module, and the two are held equal by tests.
+integer identity per rotation shift m.  row_test_batch is the one
+executable statement of those identities: the search runs its joined
+candidates through it and brute force runs every canonical subset
+through it.  The readable reference implementation lives in the paths
+module, and tests hold both to the direct orthogonality test.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -84,12 +87,6 @@ def positions_of(mask: int, t: int) -> tuple[int, ...]:
     return tuple(p for p in range(t) if (mask >> p) & 1)
 
 
-def rotate(mask: int, m: int, t: int) -> int:
-    full = (1 << t) - 1
-    m %= t
-    return ((mask << m) | (mask >> (t - m))) & full
-
-
 def split_classes(t: int, indices) -> dict[int, int]:
     """Pack a set of 1-based indices into four class masks keyed by residue."""
     masks = {1: 0, 2: 0, 3: 0, 0: 0}
@@ -147,20 +144,32 @@ PAIR_ORDER = {
 def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
     """Vectorized zero-row-sum test over rows 5..2t+2 for class masks.
 
-    Accepts scalars or equal-length arrays (broadcasting applies) and
-    returns a boolean scalar or array.  True means every tested row of
-    the assembled matrix sums to zero, i.e. the subset is a Hadamard
-    solution.
+    Accepts scalars or broadcastable arrays and returns a boolean scalar
+    or array.  True means every tested row of the assembled matrix sums
+    to zero, i.e. the subset is a Hadamard solution: at every shift m
+    the coupled pairs of PAIR_ORDER balance and the four head counts
+    total t.
+
+    Each check runs only on the survivors of the checks before it, and
+    the test stops once none survive.  Per shift the residue-3 and
+    residue-0 pairs go first, then the residue-2 pair, then the residue-1
+    head total; the order is for cost only and does not change the
+    result.
     """
     t = tables.t
-    masks = {1: np.asarray(s1, dtype=np.int64), 2: np.asarray(s2, dtype=np.int64),
-             3: np.asarray(s3, dtype=np.int64), 0: np.asarray(s0, dtype=np.int64)}
-    ok = np.ones(np.broadcast(*masks.values()).shape, dtype=bool)
-    for m in range(1, tables.half + 1):
-        total = sum(tables.runs[m][masks[cls]].astype(np.int32) for cls in CLASS_ORDER)
-        ok &= total == t
-        for residue, pairs in PAIR_ORDER.items():
-            v = sum(pair_ci(tables, masks[a], masks[b], m) for a, b in pairs)
-            ok &= v == 0
-    return ok if ok.shape else bool(ok)
-
+    cols = np.broadcast_arrays(*(np.asarray(s, dtype=np.int64) for s in (s1, s2, s3, s0)))
+    shape = cols[0].shape
+    masks = dict(zip(CLASS_ORDER, (c.ravel() for c in cols)))
+    alive = np.arange(cols[0].size)
+    for m, residue in product(range(1, tables.half + 1), (3, 0, 2, 1)):
+        if not alive.size:
+            break
+        if residue == 1:
+            keep = sum(tables.runs[m][masks[cls]] for cls in CLASS_ORDER) == t
+        else:
+            keep = sum(pair_ci(tables, masks[a], masks[b], m) for a, b in PAIR_ORDER[residue]) == 0
+        alive = alive[keep]
+        masks = {cls: v[keep] for cls, v in masks.items()}
+    ok = np.zeros(cols[0].size, dtype=bool)
+    ok[alive] = True
+    return ok.reshape(shape) if shape else bool(ok[0])

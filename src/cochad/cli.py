@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including a true verify verdict), 1 when
 verify parses a well-formed matrix that is not Hadamard, 2 on domain,
-format or resource errors.
+format or resource errors, 3 when an internal invariant fails (for
+example a search candidate that does not certify).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cocyclic import MatrixFormatError
 from .distributions import enumerate_distributions
 from .recipes import enumerate_ingredients
 from .search import (
@@ -24,6 +24,7 @@ from .search import (
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -111,15 +112,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
+        # MatrixFormatError is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,19 +82,6 @@ class RepresentativeTables(NamedTuple):
     cc: SignMatrix
     cb: SignMatrix
     product: SignMatrix
-
-
-@dataclass(frozen=True)
-class RepresentationFamily:
-    """The eight sign-equivalent subsets assembling one matrix."""
-
-    members: tuple[tuple[CoboundarySubset, int], ...]
-
-    def canonical_member(self) -> tuple[CoboundarySubset, int]:
-        hits = [(s, sign) for s, sign in self.members if s.is_canonical]
-        if len(hits) != 1:
-            raise AssertionError(f"expected exactly one canonical member, got {len(hits)}")
-        return hits[0]
 
 
 def build_back_negacyclic(k: int) -> SignMatrix:
@@ -256,39 +243,6 @@ def canonicalize(subset: CoboundarySubset) -> tuple[CoboundarySubset, int]:
     return CoboundarySubset(ctx, frozenset(idx)), sign
 
 
-# Complement flags for classes (1, 2, 3, 0): the eight ways to express
-# one assembled matrix, in the fixed listing order.
-_REPRESENTATION_FLAGS = (
-    (False, False, False, False),
-    (True, True, False, False),
-    (False, True, True, False),
-    (False, True, False, True),
-    (True, False, True, False),
-    (True, False, False, True),
-    (False, False, True, True),
-    (True, True, True, True),
-)
-
-
-def expand_representations(subset: CoboundarySubset) -> RepresentationFamily:
-    """All eight complement-pattern subsets with their relative signs.
-
-    Exactly one member is canonical.  A member's sign is -1 exactly when
-    class 1 is complemented (the only relation carrying a sign).
-    """
-    ctx = subset.ctx
-    cls = _class_index_sets(ctx.t)
-    members = []
-    for flags in _REPRESENTATION_FLAGS:
-        idx = set(subset.indices)
-        for flag, r in zip(flags, (1, 2, 3, 0)):
-            if flag:
-                idx ^= cls[r]
-        sign = -1 if flags[0] else 1
-        members.append((CoboundarySubset(ctx, frozenset(idx)), sign))
-    return RepresentationFamily(tuple(members))
-
-
 def is_hadamard_direct(M: SignMatrix) -> bool:
     """Ground truth: M M^T equals order times the identity."""
     M = np.asarray(M)
@@ -299,17 +253,6 @@ def is_hadamard_direct(M: SignMatrix) -> bool:
     n = M.shape[0]
     work = M.astype(np.int32)
     return np.array_equal(work @ work.T, n * np.eye(n, dtype=np.int32))
-
-
-def is_hadamard_rowtest(M: SignMatrix, ctx: GroupContext) -> bool:
-    """Row-sum test for assembled matrices: rows 5..2t+2 all sum to zero.
-
-    Equivalent to is_hadamard_direct on every assembled input; rows 2..4
-    sum to zero automatically and the remaining rows are covered by the
-    inversion symmetry of the ordering.
-    """
-    sums = np.asarray(M)[4 : 2 * ctx.t + 2].sum(axis=1)
-    return bool(np.all(sums == 0))
 
 
 def format_matrix(t: int, M: SignMatrix) -> str:

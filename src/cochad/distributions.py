@@ -27,14 +27,6 @@ def is_triangular(x: int) -> tuple[bool, int | None]:
     return False, None
 
 
-def greatest_triangular_leq(x: int) -> int:
-    """Largest triangular number not exceeding x (x >= 0)."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    m = (isqrt(8 * x + 1) - 1) // 2
-    return m * (m + 1) // 2
-
-
 def _validate_t(t: int) -> None:
     if t < 3 or t % 2 == 0:
         raise ValueError(f"t must be odd and >= 3, got {t}")

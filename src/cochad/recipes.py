@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
-from .bitmask import forbidden_position, ingredient_counts, join_classes, mask_tables
+from .bitmask import forbidden_position, ingredient_counts, join_classes, mask_of, mask_tables
 from .cocyclic import CoboundarySubset
 from .distributions import Distribution, entry_class_size
 from .group import GroupContext
@@ -62,12 +62,6 @@ class IngredientCatalog:
     def ingredients(self) -> tuple[Ingredient, ...]:
         return tuple(ing for ing, _ in self.groups)
 
-    def masks_for(self, ingredient: Ingredient) -> tuple[int, ...]:
-        for ing, masks in self.groups:
-            if ing == ingredient:
-                return masks
-        raise KeyError(f"no such ingredient in catalog: {ingredient}")
-
 
 def ingredient_of(t: int, positions: Iterable[int]) -> Ingredient:
     """Head profile of the mask holding the given positions in 0..t-1."""
@@ -76,10 +70,7 @@ def ingredient_of(t: int, positions: Iterable[int]) -> Ingredient:
     bad = sorted(p for p in pos if not 0 <= p < t)
     if bad:
         raise ValueError(f"positions {bad} outside [0, {t})")
-    mask = 0
-    for p in pos:
-        mask |= 1 << p
-    counts = tuple(int(c) for c in ingredient_counts(tables, mask))
+    counts = tuple(int(c) for c in ingredient_counts(tables, mask_of(pos)))
     return Ingredient(counts, min(len(pos), t - len(pos)))
 
 
@@ -92,9 +83,7 @@ def enumerate_ingredients(t: int, k: int) -> IngredientCatalog:
     krep = min(k, t - k)
     groups: dict[Ingredient, list[int]] = {}
     for combo in combinations(range(t), krep):
-        mask = 0
-        for p in combo:
-            mask |= 1 << p
+        mask = mask_of(combo)
         counts = tuple(int(c) for c in ingredient_counts(tables, mask))
         groups.setdefault(Ingredient(counts, krep), []).append(mask)
     ordered = tuple(sorted((ing, tuple(sorted(ms))) for ing, ms in groups.items()))

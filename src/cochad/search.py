@@ -10,15 +10,18 @@ found without touching a single mask.  Then the masks: only matched
 profile pairs are expanded, in batches of at most _CHUNK_ROWS rows,
 and the two sides meet on one key per row, the matched profile group
 plus the coupling score per shift that balances the rows congruent
-to 2.  Joined candidates are filtered by the remaining residue-3 and
-residue-0 row conditions, and every survivor is certified by the
-direct orthogonality test before it is reported.  The recipe columns
-of the report come out of the same join.
+to 2.  Joined candidates then go through bitmask.row_test_batch, the
+one statement of all the row conditions: it settles the rows congruent
+to 3 and 0 and re-checks those congruent to 1 and 2 on the few
+survivors.  Every survivor is certified by the direct orthogonality
+test before it is reported.  The recipe columns of the report come out
+of the same join.
 
-brute_force takes no shortcuts: it scans all 2^(4t-3) canonical subsets
-with the packed-bit row test, as an independent ground truth for small
-t.  Matrices travel as plain text (see format_matrix) so results can be
-exported, reloaded and re-verified.
+brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
+through the same row test, one (class 1, class 2) slab at a time, as a
+ground truth for the search's pruning at small t.  Matrices travel as
+plain text (see format_matrix) so results can be exported, reloaded
+and re-verified.
 """
 
 from __future__ import annotations
@@ -234,7 +237,8 @@ def _join_assignment(t: int, c1: _ClassMasks, c2: _ClassMasks, c3: _ClassMasks, 
     codes, and each such meeting is one recipe.  Only matched pairs are
     expanded to mask rows, in batches of whole groups holding at most
     _CHUNK_ROWS A rows (a larger group streams its A rows in slices of
-    that size against its B rows), joined on (group, coupling scores).
+    that size against its B rows), joined on (group, coupling scores)
+    and filtered by row_test_batch.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -282,12 +286,10 @@ def _join_assignment(t: int, c1: _ClassMasks, c2: _ClassMasks, c3: _ClassMasks, 
             offs = np.cumsum(reps) - reps
             idx = np.repeat(first[nz] - offs, reps) + np.arange(total)
             qa = aorder[np.repeat(nz, reps)]
-            # Residue-3 and residue-0 rows, one shift at a time on the survivors.
-            for m in range(1, half + 1):
-                q1, q2, q3, q0 = u1[qa], u2[qa], u3[idx], u0[idx]
-                keep = pair_ci(tables, q1, q3, m) + pair_ci(tables, q0, q2, m) == 0
-                keep &= pair_ci(tables, q1, q0, m) + pair_ci(tables, q3, q2, m) == 0
-                qa, idx = qa[keep], idx[keep]
+            # Residues 1 and 2 hold by the join; the kernel re-checks them
+            # only on what survives its residue-3 and residue-0 checks.
+            keep = row_test_batch(tables, u1[qa], u2[qa], u3[idx], u0[idx])
+            qa, idx = qa[keep], idx[keep]
             pa, pb = apair[qa], bpair[idx]
             hits.append(np.stack([u1[qa], u2[qa], u3[idx], u0[idx]], axis=1))
             profiles.append(np.stack([a1p[pa], a2p[pa], b3p[pb], b0p[pb]], axis=1))
@@ -402,15 +404,7 @@ def brute_force(t: int) -> BruteForceReport:
     grid0 = np.tile(d0, len(d3))
     found: list[tuple[int, int, int, int]] = []
     for m1 in d1.tolist():
-        ing1 = [int(tables.runs[m][m1]) for m in range(1, tables.half + 1)]
         for m2 in d2.tolist():
-            # The residue-1 rows need profile sums of exactly t; classes 1
-            # and 2 alone overshooting rules the whole slab out.
-            if any(
-                ing1[m - 1] + int(tables.runs[m][m2]) > t
-                for m in range(1, tables.half + 1)
-            ):
-                continue
             ok = row_test_batch(tables, m1, m2, grid3, grid0)
             for m3, m0 in zip(grid3[ok].tolist(), grid0[ok].tolist()):
                 found.append((m1, m2, m3, m0))

@@ -1,4 +1,4 @@
-"""Packed-bit kernels against set-arithmetic oracles."""
+"""Packed-bit kernels against set-arithmetic oracles and the direct test."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,17 @@ from cochad.bitmask import (
     mask_tables,
     pair_ci,
     positions_of,
-    rotate,
+    row_test_batch,
     split_classes,
 )
+from cochad.cocyclic import (
+    CoboundarySubset,
+    assemble_cocyclic,
+    is_hadamard_direct,
+    prohibited_indices,
+)
+from cochad.group import GroupContext
+from cochad.search import brute_force
 
 
 def _posset(mask, t):
@@ -30,15 +38,6 @@ def test_mask_round_trip():
         for _ in range(50):
             mask = int(rng.integers(0, 1 << t))
             assert mask_of(positions_of(mask, t)) == mask
-
-
-def test_rotate_matches_shift():
-    rng = np.random.default_rng(5)
-    for t in (3, 5, 11):
-        for _ in range(50):
-            mask = int(rng.integers(0, 1 << t))
-            m = int(rng.integers(0, t))
-            assert _posset(rotate(mask, m, t), t) == _shift(_posset(mask, t), m, t)
 
 
 def test_forbidden_positions():
@@ -118,3 +117,56 @@ def test_pair_ci_vectorized_matches_scalar():
         for i in range(64):
             assert int(vec[i]) == int(pair_ci(tables, int(a[i]), int(b[i]), m))
 
+
+# Class masks (1, 2, 3, 0) of t = 7 near misses.  Each passes every row
+# condition except one coupled pair of PAIR_ORDER at the rows 4m+2 or
+# 4m+3 (in order: (1, 2), (1, 3), (3, 0), (0, 2)), while the other pair
+# of its row is zero, so only that pair rejects it.  Found by scanning
+# all 2^25 canonical subsets; t <= 5 has none.  No canonical subset for
+# t <= 15 is such a near miss for one pair of the rows 4m+4.
+_NEAR_MISSES_T7 = ((2, 46, 44, 44), (2, 46, 44, 46), (6, 6, 34, 43), (6, 34, 6, 45))
+
+
+def _row_test_cases():
+    """Canonical subsets keyed by t: the t = 5 solutions, every one-index
+    flip of them, all of t = 3, the t = 7 near misses, and seeded random
+    draws for t = 5..13."""
+    cases = {t: set() for t in range(3, 15, 2)}
+    for masks in _NEAR_MISSES_T7:
+        cases[7].add(frozenset(join_classes(7, dict(zip((1, 2, 3, 0), masks)))))
+    pool5 = sorted(set(range(1, 21)) - prohibited_indices(GroupContext(5)))
+    for subset in brute_force(5).solutions:
+        cases[5].add(subset.indices)
+        cases[5].update(subset.indices ^ {i} for i in pool5)
+    pool3 = sorted(set(range(1, 13)) - prohibited_indices(GroupContext(3)))
+    cases[3].update(
+        frozenset(i for k, i in enumerate(pool3) if (bits >> k) & 1)
+        for bits in range(1 << len(pool3))
+    )
+    rng = np.random.default_rng(41)
+    for t in range(5, 15, 2):
+        pool = np.array(sorted(set(range(1, 4 * t + 1)) - prohibited_indices(GroupContext(t))))
+        for _ in range(150):
+            picked = pool[rng.random(len(pool)) < rng.random()]
+            cases[t].add(frozenset(int(i) for i in picked))
+    return {t: sorted(sorted(s) for s in subsets) for t, subsets in cases.items()}
+
+
+def test_row_test_batch_matches_direct():
+    # The kernel's verdict is the Hadamard property of the assembled matrix,
+    # called on arrays and one subset at a time.
+    hadamard = 0
+    for t, subsets in _row_test_cases().items():
+        ctx = GroupContext(t)
+        tables = mask_tables(t)
+        masks = [split_classes(t, idx) for idx in subsets]
+        cols = [np.array([m[cls] for m in masks], dtype=np.int64) for cls in (1, 2, 3, 0)]
+        want = [is_hadamard_direct(assemble_cocyclic(CoboundarySubset(ctx, idx))) for idx in subsets]
+        got = row_test_batch(tables, *cols)
+        assert got.dtype == bool and got.shape == (len(subsets),)
+        assert got.tolist() == want
+        for k, m in enumerate(masks):
+            scalar = row_test_batch(tables, m[1], m[2], m[3], m[0])
+            assert type(scalar) is bool and scalar == want[k]
+        hadamard += sum(want)
+    assert hadamard == 24 + 120

@@ -1,6 +1,7 @@
 """Command line behavior: output formats and exit codes."""
 
-from cochad.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FALSE, main
+import cochad.search
+from cochad.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_OK, EXIT_VERDICT_FALSE, main
 
 
 def test_search_output(capsys):
@@ -109,3 +110,13 @@ def test_domain_errors_exit_with_error(capsys):
 
     assert main(["ingredients", "--t", "5", "--k", "9"]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_error_exits_with_its_own_code(monkeypatch, capsys):
+    # A candidate that fails certification is a bug, not a "not Hadamard"
+    # verdict, and must not escape as a traceback with exit 1.
+    monkeypatch.setattr(cochad.search, "is_hadamard_direct", lambda matrix: False)
+    assert main(["search", "--t", "3"]) == EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: candidate failed certification")

@@ -7,7 +7,6 @@ from cochad.distributions import (
     coboundary_bounds,
     entry_class_size,
     enumerate_distributions,
-    greatest_triangular_leq,
     is_triangular,
 )
 
@@ -40,15 +39,6 @@ def test_is_triangular():
             assert flag and m == triangulars[x]
         else:
             assert not flag and m is None
-
-
-def test_greatest_triangular_leq():
-    assert greatest_triangular_leq(0) == 0
-    assert greatest_triangular_leq(5) == 3
-    assert greatest_triangular_leq(21) == 21
-    assert greatest_triangular_leq(22) == 21
-    with pytest.raises(ValueError):
-        greatest_triangular_leq(-1)
 
 
 def test_entry_class_size():

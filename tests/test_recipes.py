@@ -82,7 +82,7 @@ def test_enumerate_ingredients_small_catalog():
     profiles = [ing.counts for ing in catalog.ingredients()]
     assert sorted(profiles) == [(1, 2), (2, 1)]
     for ing in catalog.ingredients():
-        assert len(catalog.masks_for(ing)) == 5
+        assert len(dict(catalog.groups)[ing]) == 5
         assert ing.total == catalog.entry
 
 
@@ -114,13 +114,6 @@ def test_enumerate_ingredients_frozen_counts():
     assert enumerate_ingredients(13, 5).ingredient_count == 57
     assert enumerate_ingredients(13, 4).ingredient_count == 34
     assert enumerate_ingredients(13, 3).ingredient_count == 14
-
-
-def test_masks_for_unknown_ingredient():
-    catalog = enumerate_ingredients(5, 2)
-    with pytest.raises(KeyError):
-        catalog.masks_for(Ingredient((9, 9), 2))
-
 
 
 def test_class_masks_sizes_and_avoidance():
