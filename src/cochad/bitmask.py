@@ -27,8 +27,20 @@ from itertools import product
 
 import numpy as np
 
+from .group import validate_t
+
 # Class labels in column order within each block of four: residues mod 4.
 CLASS_ORDER = (1, 2, 3, 0)
+
+# MaskTables holds (t + 1) / 2 rows of 2^t entries in rot, irot (int64)
+# and runs (int16), plus xs and pc: ~0.44 GB at t = 21, ~1.9 GB at
+# t = 23 and ~8.2 GB at t = 25.
+_TABLE_LIMIT_T = 21
+
+
+class ResourceLimitError(RuntimeError):
+    """The requested computation exceeds what this implementation supports."""
+
 
 def forbidden_position(cls: int, t: int) -> int | None:
     """Cycle position canonical subsets must avoid in a class, or None.
@@ -54,8 +66,9 @@ class MaskTables:
     """
 
     def __init__(self, t: int) -> None:
-        if t < 3 or t % 2 == 0:
-            raise ValueError(f"t must be odd and >= 3, got {t}")
+        validate_t(t)
+        if t > _TABLE_LIMIT_T:
+            raise ResourceLimitError(f"mask tables are capped at t={_TABLE_LIMIT_T}, got t={t}")
         self.t = t
         self.half = (t - 1) // 2
         size = 1 << t

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .distributions import enumerate_distributions
 from .recipes import enumerate_ingredients
@@ -69,7 +70,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict else EXIT_VERDICT_FALSE
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cochad",
         description="Search for and verify cocyclic Hadamard matrices over Z_t x Z_2^2.",

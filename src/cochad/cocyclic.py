@@ -162,24 +162,20 @@ def _coboundary_point(ctx: GroupContext, i: int) -> SignMatrix:
 
 
 def build_coboundary(ctx: GroupContext, i: int, *, point_form: bool = False) -> SignMatrix:
-    """Coboundary table of index i, cross-checked across both builds.
+    """Coboundary table of index i, built by point evaluation.
 
     The default working form has exactly two negative entries in every
     row but the first, at columns i and e with g_e = g_s^{-1} g_i for
     row s.  point_form=True returns the point-evaluation layer instead
-    (row i negated relative to the working form).
+    (row i negated relative to the working form).  The tile placement
+    of _coboundary_blocks is the tests' second route to the same table.
     """
     if not 1 <= i <= ctx.order:
         raise ValueError(f"index {i} outside [1, {ctx.order}]")
-    point = _coboundary_point(ctx, i)
-    blocks = _coboundary_blocks(ctx, i)
-    if not np.array_equal(point, blocks):
-        raise AssertionError(f"coboundary builds disagree for t={ctx.t}, i={i}")
-    if point_form:
-        return point
-    working = point.copy()
-    working[i - 1] *= -1
-    return working
+    table = _coboundary_point(ctx, i)
+    if not point_form:
+        table[i - 1] *= -1
+    return table
 
 
 def assemble_cocyclic(subset: CoboundarySubset, *, point_form: bool = False) -> SignMatrix:

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .group import validate_t
+
 
 def is_triangular(x: int) -> tuple[bool, int | None]:
     """Whether x = m (m + 1) / 2 for some m >= 0, and that m."""
@@ -27,14 +29,9 @@ def is_triangular(x: int) -> tuple[bool, int | None]:
     return False, None
 
 
-def _validate_t(t: int) -> None:
-    if t < 3 or t % 2 == 0:
-        raise ValueError(f"t must be odd and >= 3, got {t}")
-
-
 def entry_class_size(t: int, entry: int) -> int:
     """Smaller class size k with k (t - k) / 2 = entry; the other is t - k."""
-    _validate_t(t)
+    validate_t(t)
     square = t * t - 8 * entry
     if square < 0 or isqrt(square) ** 2 != square:
         raise ValueError(f"entry {entry} is not k(t-k)/2 for any k, t={t}")
@@ -76,7 +73,7 @@ def enumerate_distributions(t: int) -> tuple[Distribution, ...]:
     Enumerates ascending 4-tuples of triangular numbers summing to
     (t - 1) / 2; the budgets are the per-class cap minus the deficits.
     """
-    _validate_t(t)
+    validate_t(t)
     target = (t - 1) // 2
     cap = (t * t - 1) // 8
     triangulars = []
@@ -113,7 +110,7 @@ def coboundary_bounds(
     k3 is the residue-3 class size; n is the total subset size.  The n
     window tightens slightly when the residue of n mod 4 is known.
     """
-    _validate_t(t)
+    validate_t(t)
     if residue_of_n not in (None, 0, 1, 2, 3):
         raise ValueError(f"residue_of_n must be None or 0..3, got {residue_of_n}")
     s = isqrt(4 * t - 3)

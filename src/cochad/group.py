@@ -17,6 +17,12 @@ _BIT_PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _BIT_OFFSET = {pair: k for k, pair in enumerate(_BIT_PAIRS)}
 
 
+def validate_t(t: int) -> None:
+    """Raise ValueError unless t is odd and >= 3."""
+    if t < 3 or t % 2 == 0:
+        raise ValueError(f"t must be odd and >= 3, got {t}")
+
+
 class GroupElement(NamedTuple):
     a: int
     b: int
@@ -30,8 +36,7 @@ class GroupContext:
     t: int
 
     def __post_init__(self) -> None:
-        if self.t < 3 or self.t % 2 == 0:
-            raise ValueError(f"t must be odd and >= 3, got {self.t}")
+        validate_t(self.t)
 
     @property
     def order(self) -> int:

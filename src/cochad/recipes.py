@@ -10,6 +10,11 @@ complementation preserve profiles, so the size-k catalog serves size
 t - k as well.  Recipes prune hard: the surviving candidate space is a
 tiny slice of the raw subset lattice, and the remaining row conditions
 are checked per candidate afterwards.
+
+class_masks lays one class's admissible masks out as the flat arrays
+the search joins on: the masks grouped by profile, each profile's
+base-(t + 1) code, and the group sizes and offsets.  expand_recipe
+reads the same arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .bitmask import forbidden_position, ingredient_counts, join_classes, mask_of, mask_tables
 from .cocyclic import CoboundarySubset
@@ -90,24 +97,54 @@ def enumerate_ingredients(t: int, k: int) -> IngredientCatalog:
     return IngredientCatalog(t, krep, krep * (t - krep) // 2, ordered)
 
 
+@dataclass(frozen=True, eq=False)
+class ClassMasks:
+    """Masks a canonical subset may use in one class, as flat arrays.
+
+    The masks of profile i are flat[starts[i] : starts[i] + sizes[i]],
+    sorted; codes[i] packs ingredients[i].counts as base-(t + 1) digits,
+    most significant first.
+    """
+
+    ingredients: tuple[Ingredient, ...]
+    codes: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    flat: np.ndarray
+
+    def __post_init__(self) -> None:
+        # class_masks hands one cached instance to every caller.
+        for arr in (self.codes, self.sizes, self.starts, self.flat):
+            arr.flags.writeable = False
+
+
 @lru_cache(maxsize=None)
-def class_masks(t: int, k: int, cls: int) -> tuple[tuple[Ingredient, tuple[int, ...]], ...]:
+def class_masks(t: int, k: int, cls: int) -> ClassMasks:
     """Masks a canonical subset may use in one class, grouped by profile.
 
     Every profile of the size-k catalog is realized by its masks and by
     their complements (sizes k and t - k, which share the class budget);
     masks covering the class's forbidden position are dropped.  Groups
-    keep the catalog's profile order and each mask tuple is sorted.
+    keep the catalog's profile order.
     """
     full = mask_tables(t).full
     forb = forbidden_position(cls, t)
-    out = []
-    for ing, base in enumerate_ingredients(t, k).groups:
+    groups = enumerate_ingredients(t, k).groups
+    per_profile = []
+    for _, base in groups:
         masks = base + tuple(m ^ full for m in base)
         if forb is not None:
             masks = tuple(m for m in masks if not (m >> forb) & 1)
-        out.append((ing, tuple(sorted(masks))))
-    return tuple(out)
+        per_profile.append(sorted(masks))
+    digits = np.array([ing.counts for ing, _ in groups], dtype=np.int64)
+    sizes = np.array([len(masks) for masks in per_profile], dtype=np.int64)
+    return ClassMasks(
+        ingredients=tuple(ing for ing, _ in groups),
+        codes=digits @ (t + 1) ** np.arange(digits.shape[1] - 1, -1, -1),
+        sizes=sizes,
+        starts=np.cumsum(sizes) - sizes,
+        flat=np.array([m for masks in per_profile for m in masks], dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -180,10 +217,11 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
     t = ctx.t
     if recipe.t != t:
         raise ValueError(f"recipe is for t={recipe.t}, context has t={t}")
-    per_class = [
-        dict(class_masks(t, ing.k, cls))[ing]
-        for cls, ing in zip((1, 2, 3, 0), recipe.ingredients)
-    ]
+    per_class = []
+    for cls, ing in zip((1, 2, 3, 0), recipe.ingredients):
+        side = class_masks(t, ing.k, cls)
+        i = side.ingredients.index(ing)
+        per_class.append(side.flat[side.starts[i] : side.starts[i] + side.sizes[i]].tolist())
     for combo in product(*per_class):
         chosen = dict(zip((1, 2, 3, 0), combo))
         yield CoboundarySubset(ctx, frozenset(join_classes(t, chosen)))

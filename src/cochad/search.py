@@ -3,23 +3,27 @@
 run_search walks the admissible budget distributions and, within each,
 every distinct assignment of budgets to classes.  The rows congruent
 to 1 see a class mask only through its head profile, so each
-assignment is joined in two steps.  First the profiles: every profile
-gets an integer code, and the code sums of class pairs (1, 2) are
-matched against t minus those of (3, 0); each match is one recipe,
-found without touching a single mask.  Then the masks: only matched
-profile pairs are expanded, in batches of at most _CHUNK_ROWS rows,
-and the two sides meet on one key per row, the matched profile group
-plus the coupling score per shift that balances the rows congruent
-to 2.  Joined candidates then go through bitmask.row_test_batch, the
-one statement of all the row conditions: it settles the rows congruent
-to 3 and 0 and re-checks those congruent to 1 and 2 on the few
-survivors.  Every survivor is certified by the direct orthogonality
-test before it is reported.  The recipe columns of the report come out
-of the same join.
+assignment is joined in two steps, on the flat arrays that
+recipes.class_masks keeps per class: masks grouped by profile, and
+each profile's integer code.  First the profiles: the code sums of
+class pairs (1, 2) are matched against t minus those of (3, 0); each
+match is one recipe, found without touching a single mask.  Then the
+masks: only matched profile pairs are expanded, in batches of at most
+_CHUNK_ROWS rows, and the two sides meet on one key per row, the
+matched profile group plus the coupling score per shift that balances
+the rows congruent to 2.  Joined candidates then go through
+bitmask.row_test_batch, the one statement of all the row conditions:
+it settles the rows congruent to 3 and 0 and re-checks those congruent
+to 1 and 2 on the few survivors.  The call that searches a
+distribution also certifies every survivor by the direct orthogonality
+test and returns the finished report, so each --jobs worker certifies
+its own solutions.  The recipe columns of the report come out of the
+same join.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
-through the same row test, one (class 1, class 2) slab at a time, as a
-ground truth for the search's pruning at small t.  Matrices travel as
+that avoid each class's forbidden position through the same row test,
+one (class 1, class 2) slab at a time, as a ground truth for the
+search's pruning at small t.  Matrices travel as
 plain text (see format_matrix) so results can be exported, reloaded
 and re-verified.
 """
@@ -36,7 +40,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitmask import join_classes, mask_tables, pair_ci, row_test_batch
+from .bitmask import (
+    CLASS_ORDER,
+    ResourceLimitError,
+    forbidden_position,
+    join_classes,
+    mask_tables,
+    pair_ci,
+    row_test_batch,
+)
 from .cocyclic import (
     CoboundarySubset,
     assemble_cocyclic,
@@ -45,8 +57,8 @@ from .cocyclic import (
     parse_matrix,
 )
 from .distributions import Distribution, entry_class_size, enumerate_distributions
-from .group import GroupContext
-from .recipes import Ingredient, Recipe, class_masks, distribution_ingredient_counts
+from .group import GroupContext, validate_t
+from .recipes import ClassMasks, Recipe, class_masks, distribution_ingredient_counts
 
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
@@ -62,10 +74,6 @@ _CHUNK_ROWS = 1 << 15
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
 _BRUTE_LIMIT_BITS = 25
-
-
-class ResourceLimitError(RuntimeError):
-    """The requested computation exceeds what this implementation supports."""
 
 
 @dataclass(frozen=True)
@@ -142,46 +150,7 @@ class BruteForceReport:
         return out
 
 
-def _validate_t(t: int) -> None:
-    if t < 3 or t % 2 == 0:
-        raise ValueError(f"t must be odd and >= 3, got {t}")
-
-
-@dataclass(frozen=True)
-class _ClassMasks:
-    """One class's masks for one budget entry, as flat arrays.
-
-    The masks of profile i are flat[starts[i] : starts[i] + sizes[i]];
-    codes[i] packs the profile counts in base t + 1.
-    """
-
-    ingredients: tuple[Ingredient, ...]
-    codes: np.ndarray
-    sizes: np.ndarray
-    starts: np.ndarray
-    flat: np.ndarray
-
-
-def _profile_code(t: int, counts) -> int:
-    code = 0
-    for c in counts:
-        code = code * (t + 1) + c
-    return code
-
-
-def _class_side(t: int, entry: int, cls: int) -> _ClassMasks:
-    groups = class_masks(t, entry_class_size(t, entry), cls)
-    sizes = np.array([len(masks) for _, masks in groups], dtype=np.int64)
-    return _ClassMasks(
-        ingredients=tuple(ing for ing, _ in groups),
-        codes=np.array([_profile_code(t, ing.counts) for ing, _ in groups], dtype=np.int64),
-        sizes=sizes,
-        starts=np.cumsum(sizes) - sizes,
-        flat=np.array([m for _, masks in groups for m in masks], dtype=np.int64),
-    )
-
-
-def _matched_pairs(x: _ClassMasks, y: _ClassMasks, codes, sums):
+def _matched_pairs(x: ClassMasks, y: ClassMasks, codes, sums):
     """Profile pairs of two classes whose code is in sums, ordered by group.
 
     codes holds one code per pair (x-major); a pair's group is the
@@ -198,7 +167,7 @@ def _matched_pairs(x: _ClassMasks, y: _ClassMasks, codes, sums):
     return px, py, group[order], edges
 
 
-def _pair_rows(x: _ClassMasks, y: _ClassMasks, px, py, edges, lo: int, hi: int):
+def _pair_rows(x: ClassMasks, y: ClassMasks, px, py, edges, lo: int, hi: int):
     """Rows lo..hi-1 of the concatenated products masks(px[p]) x masks(py[p]).
 
     Returns the two mask columns and the pair index of each row.
@@ -227,7 +196,7 @@ def _coupling_key(tables, group, u, v, sign: int):
     return key
 
 
-def _join_assignment(t: int, c1: _ClassMasks, c2: _ClassMasks, c3: _ClassMasks, c0: _ClassMasks):
+def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0: ClassMasks):
     """Mask 4-tuples satisfying all row conditions for one assignment.
 
     Returns (masks (n, 4), profile indices (n, 4) into each class's
@@ -245,7 +214,7 @@ def _join_assignment(t: int, c1: _ClassMasks, c2: _ClassMasks, c3: _ClassMasks, 
     # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
     # so a pair's digit sums stay below the base t + 1 and t minus a
     # pair's digits stays positive; no carry or borrow can occur.
-    full = _profile_code(t, (t,) * half)
+    full = (t + 1) ** half - 1
     acodes = (c1.codes[:, None] + c2.codes[None, :]).ravel()
     bcodes = (full - c3.codes[:, None] - c0.codes[None, :]).ravel()
     sums = np.intersect1d(acodes, bcodes)
@@ -300,28 +269,48 @@ def _join_assignment(t: int, c1: _ClassMasks, c2: _ClassMasks, c3: _ClassMasks, 
     return empty, empty, recipe_count, checked
 
 
-def _search_distribution(t: int, distribution: Distribution):
-    """Solutions of one distribution as (masks, recipe) pairs, plus the
-    recipe count and the candidates checked."""
+def _search_distribution(t: int, distribution: Distribution) -> tuple[DistributionReport, int]:
+    """The certified report of one distribution and the candidates checked.
+
+    Every solution is certified with the direct orthogonality test here,
+    so a --jobs worker returns only what it has certified itself.
+    """
     sides = {
-        (entry, cls): _class_side(t, entry, cls)
+        (entry, cls): class_masks(t, entry_class_size(t, entry), cls)
         for entry in set(distribution.entries)
-        for cls in (1, 2, 3, 0)
+        for cls in CLASS_ORDER
     }
-    solutions: list[tuple[tuple[int, int, int, int], Recipe]] = []
+    found: list[tuple[list[int], Recipe]] = []
     recipe_count = 0
     checked = 0
     for assignment in sorted(set(permutations(distribution.entries)), reverse=True):
-        classes = [sides[entry, cls] for entry, cls in zip(assignment, (1, 2, 3, 0))]
+        classes = [sides[entry, cls] for entry, cls in zip(assignment, CLASS_ORDER)]
         masks, profiles, n_recipes, n_checked = _join_assignment(t, *classes)
         recipe_count += n_recipes
         checked += n_checked
         for row, idx in zip(masks.tolist(), profiles.tolist()):
             ings = tuple(side.ingredients[i] for side, i in zip(classes, idx))
-            solutions.append((tuple(row), Recipe(t, ings)))
-    if len({row for row, _ in solutions}) != len(solutions):
+            found.append((row, Recipe(t, ings)))
+    # Subsets are built once the joins are done: built between joins,
+    # they raised the t = 13 peak RSS by ~3 MB.
+    ctx = GroupContext(t)
+    records: list[SolutionRecord] = []
+    for row, recipe in found:
+        subset = CoboundarySubset(ctx, frozenset(join_classes(t, dict(zip(CLASS_ORDER, row)))))
+        if not is_hadamard_direct(assemble_cocyclic(subset)):
+            raise AssertionError(f"candidate failed certification: {subset}")
+        records.append(SolutionRecord(subset, recipe))
+    if len({rec.subset for rec in records}) != len(records):
         raise AssertionError("assignments produced overlapping candidates")
-    return solutions, recipe_count, checked
+    records.sort(key=lambda rec: rec.subset.sorted_indices())
+    report = DistributionReport(
+        distribution=distribution,
+        ingredient_counts=distribution_ingredient_counts(distribution),
+        recipe_count=recipe_count,
+        solution_recipe_count=len({rec.recipe for rec in records}),
+        solutions=tuple(records),
+    )
+    return report, checked
 
 
 def run_search(
@@ -334,7 +323,7 @@ def run_search(
     worker processes, at most one per distribution and per CPU.  Every
     reported solution is certified with the direct orthogonality test.
     """
-    _validate_t(t)
+    validate_t(t)
     if t > _JOIN_LIMIT_T:
         raise ResourceLimitError(f"search is capped at t={_JOIN_LIMIT_T}, got t={t}")
     if jobs < 1:
@@ -356,30 +345,8 @@ def run_search(
             outcomes = list(pool.map(partial(_search_distribution, t), selected))
     else:
         outcomes = [_search_distribution(t, dist) for dist in selected]
-
-    ctx = GroupContext(t)
-    reports = []
-    total_checked = 0
-    for dist, (solutions, recipe_count, checked) in zip(selected, outcomes):
-        total_checked += checked
-        records = []
-        for row, recipe in solutions:
-            chosen = dict(zip((1, 2, 3, 0), row))
-            subset = CoboundarySubset(ctx, frozenset(join_classes(t, chosen)))
-            if not is_hadamard_direct(assemble_cocyclic(subset)):
-                raise AssertionError(f"candidate failed certification: {subset}")
-            records.append(SolutionRecord(subset, recipe))
-        records.sort(key=lambda rec: rec.subset.sorted_indices())
-        reports.append(
-            DistributionReport(
-                distribution=dist,
-                ingredient_counts=distribution_ingredient_counts(dist),
-                recipe_count=recipe_count,
-                solution_recipe_count=len({rec.recipe for rec in records}),
-                solutions=tuple(records),
-            )
-        )
-    return SearchReport(t, tuple(reports), total_checked)
+    reports = tuple(report for report, _ in outcomes)
+    return SearchReport(t, reports, sum(checked for _, checked in outcomes))
 
 
 def brute_force(t: int) -> BruteForceReport:
@@ -388,7 +355,7 @@ def brute_force(t: int) -> BruteForceReport:
     The space has 2^(4t-3) subsets (three indices are never used); the
     scan is capped at 2^25, i.e. t = 7.
     """
-    _validate_t(t)
+    validate_t(t)
     bits = 4 * t - 3
     if bits > _BRUTE_LIMIT_BITS:
         raise ResourceLimitError(
@@ -397,9 +364,10 @@ def brute_force(t: int) -> BruteForceReport:
     tables = mask_tables(t)
     ctx = GroupContext(t)
     xs = np.arange(1 << t, dtype=np.int64)
-    no_first = xs[(xs & 1) == 0]
-    no_last = xs[(xs >> (t - 1)) & 1 == 0]
-    d1, d2, d3, d0 = no_first, xs, no_last, no_last
+    d1, d2, d3, d0 = (
+        xs if (forb := forbidden_position(cls, t)) is None else xs[(xs >> forb) & 1 == 0]
+        for cls in CLASS_ORDER
+    )
     grid3 = np.repeat(d3, len(d0))
     grid0 = np.tile(d0, len(d3))
     found: list[tuple[int, int, int, int]] = []
@@ -409,7 +377,7 @@ def brute_force(t: int) -> BruteForceReport:
             for m3, m0 in zip(grid3[ok].tolist(), grid0[ok].tolist()):
                 found.append((m1, m2, m3, m0))
     subsets = [
-        CoboundarySubset(ctx, frozenset(join_classes(t, dict(zip((1, 2, 3, 0), row)))))
+        CoboundarySubset(ctx, frozenset(join_classes(t, dict(zip(CLASS_ORDER, row)))))
         for row in found
     ]
     subsets.sort(key=CoboundarySubset.sorted_indices)

@@ -1,5 +1,9 @@
 """Command line behavior: output formats and exit codes."""
 
+import multiprocessing
+
+import pytest
+
 import cochad.search
 from cochad.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_OK, EXIT_VERDICT_FALSE, main
 
@@ -111,12 +115,31 @@ def test_domain_errors_exit_with_error(capsys):
     assert main(["ingredients", "--t", "5", "--k", "9"]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
 
+    # refused before the ~1.9 GB of mask tables are allocated
+    assert main(["ingredients", "--t", "23", "--k", "1"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: mask tables are capped at t=21")
+
 
 def test_internal_error_exits_with_its_own_code(monkeypatch, capsys):
     # A candidate that fails certification is a bug, not a "not Hadamard"
     # verdict, and must not escape as a traceback with exit 1.
     monkeypatch.setattr(cochad.search, "is_hadamard_direct", lambda matrix: False)
     assert main(["search", "--t", "3"]) == EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: candidate failed certification")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched certification only when forked",
+)
+def test_worker_certification_failure_crosses_the_pool(monkeypatch, capsys):
+    # Each --jobs worker certifies its own solutions; a failure raises in
+    # the worker and must reach the CLI as the same internal error.
+    monkeypatch.setattr(cochad.search, "is_hadamard_direct", lambda matrix: False)
+    monkeypatch.setattr(cochad.search.os, "cpu_count", lambda: 2)
+    assert main(["search", "--t", "7", "--jobs", "2"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: candidate failed certification")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cochad.cocyclic import (
     CoboundarySubset,
@@ -67,10 +69,14 @@ def test_representative_row_negative_counts():
 
 
 def test_coboundary_routes_agree():
-    for t in (3, 5, 7):
+    # build_coboundary uses the point route alone; the blocks route is
+    # its cross-check, over the t that acceptance 7 builds tables for.
+    for t in range(3, 15, 2):
         ctx = GroupContext(t)
         for i in range(1, 4 * t + 1):
-            assert np.array_equal(_coboundary_blocks(ctx, i), _coboundary_point(ctx, i))
+            blocks = _coboundary_blocks(ctx, i)
+            assert np.array_equal(blocks, _coboundary_point(ctx, i))
+            assert np.array_equal(blocks, build_coboundary(ctx, i, point_form=True))
 
 
 def test_coboundary_rows():
@@ -207,6 +213,54 @@ def test_format_parse_round_trip():
     t, back = parse_matrix(text)
     assert t == 3
     assert np.array_equal(back, matrix)
+
+
+# Derandomized and small, so the properties add well under a second and
+# every run tries the same examples.
+_matrix_examples = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+_odd_t = st.sampled_from(range(3, 17, 2))
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def _sign_matrix(t, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.array([-1, 1], dtype=np.int8), size=(4 * t, 4 * t))
+
+
+@_matrix_examples
+@given(t=_odd_t, seed=_seeds)
+def test_format_parse_round_trip_property(t, seed):
+    matrix = _sign_matrix(t, seed)
+    back_t, back = parse_matrix(format_matrix(t, matrix))
+    assert back_t == t
+    assert back.dtype == np.int8
+    assert np.array_equal(back, matrix)
+
+
+@pytest.mark.parametrize("corruption", ["symbol", "drop", "add", "missing row"])
+@_matrix_examples
+@given(t=_odd_t, seed=_seeds, data=st.data())
+def test_single_corruption_names_its_line(corruption, t, seed, data):
+    lines = format_matrix(t, _sign_matrix(t, seed)).splitlines()
+    n = 4 * t
+    k = data.draw(st.integers(1, n), label="row line index")
+    col = data.draw(st.integers(0, n - 1), label="column")
+    row = lines[k]
+    if corruption == "symbol":
+        lines[k] = row[:col] + data.draw(st.sampled_from("x0* ")) + row[col + 1 :]
+        want = f"line {k + 1}: invalid characters"
+    elif corruption == "drop":
+        lines[k] = row[:col] + row[col + 1 :]
+        want = f"line {k + 1}: expected {n} characters, found {n - 1}"
+    elif corruption == "add":
+        lines[k] = row[:col] + data.draw(st.sampled_from("+-")) + row[col:]
+        want = f"line {k + 1}: expected {n} characters, found {n + 1}"
+    else:
+        del lines[k]
+        # the rows close up, so the file ends one row early
+        want = f"line {n + 1}: expected {n} matrix rows, found {n - 1}"
+    with pytest.raises(MatrixFormatError, match="^" + want):
+        parse_matrix("\n".join(lines) + "\n")
 
 
 def test_parse_errors_carry_line_numbers():

@@ -116,17 +116,24 @@ def test_enumerate_ingredients_frozen_counts():
     assert enumerate_ingredients(13, 3).ingredient_count == 14
 
 
+def _class_mask_groups(side):
+    return np.split(side.flat, side.starts[1:])
+
+
 def test_class_masks_sizes_and_avoidance():
     t = 5
     for cls in CLASS_ORDER:
         for k in range(t + 1):
-            groups = class_masks(t, k, cls)
+            side = class_masks(t, k, cls)
             avoid = forbidden_position(cls, t)
             sizes = {k, t - k}
-            assert [ing for ing, _ in groups] == list(enumerate_ingredients(t, k).ingredients())
+            assert list(side.ingredients) == list(enumerate_ingredients(t, k).ingredients())
+            groups = _class_mask_groups(side)
+            assert [len(masks) for masks in groups] == side.sizes.tolist()
             seen = set()
-            for ing, masks in groups:
-                for mask in masks:
+            for ing, code, masks in zip(side.ingredients, side.codes.tolist(), groups):
+                assert code == sum(c * (t + 1) ** e for e, c in enumerate(reversed(ing.counts)))
+                for mask in masks.tolist():
                     assert bin(mask).count("1") in sizes
                     if avoid is not None:
                         assert not (mask >> avoid) & 1
@@ -140,14 +147,18 @@ def test_class_masks_sizes_and_avoidance():
                 and (avoid is None or not (mask >> avoid) & 1)
             }
             assert seen == expected
-            assert sum(len(masks) for _, masks in groups) == len(expected)
+            assert len(side.flat) == len(expected)
     with pytest.raises(ValueError):
         class_masks(5, 6, 2)
 
 
 def test_class_masks_sorted():
-    for _, masks in class_masks(7, 3, 1):
-        assert list(masks) == sorted(set(masks))
+    side = class_masks(7, 3, 1)
+    for masks in _class_mask_groups(side):
+        assert masks.tolist() == sorted(set(masks.tolist()))
+    with pytest.raises(ValueError):
+        side.flat[0] = 0  # the cached arrays are shared, so read-only
+
 
 def test_distribution_ingredient_counts():
     by_t = {
