@@ -110,12 +110,15 @@ def split_classes(t: int, indices) -> dict[int, int]:
     return masks
 
 
-def join_classes(t: int, masks: dict[int, int]) -> tuple[int, ...]:
-    """Inverse of split_classes; indices come back sorted."""
+def join_classes(t: int, row) -> tuple[int, ...]:
+    """Sorted indices of four class masks given in CLASS_ORDER.
+
+    Inverse of split_classes once its masks are read in CLASS_ORDER.
+    """
     out = []
-    for cls in CLASS_ORDER:
+    for cls, mask in zip(CLASS_ORDER, row):
         base = cls if cls != 0 else 4
-        for p in positions_of(masks[cls], t):
+        for p in positions_of(mask, t):
             out.append(4 * p + base)
     return tuple(sorted(out))
 

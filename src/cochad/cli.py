@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from .distributions import enumerate_distributions
-from .recipes import enumerate_ingredients
+from .recipes import class_masks
 from .search import (
     ResourceLimitError,
     brute_force,
@@ -56,11 +56,15 @@ def _cmd_distributions(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingredients(args: argparse.Namespace) -> int:
-    catalog = enumerate_ingredients(args.t, args.k)
-    print(f"t={catalog.t} k={catalog.k} entry={catalog.entry}")
-    for ingredient, masks in catalog.groups:
-        print(f"profile {ingredient.counts}: {len(masks)} masks")
-    print(f"profiles: {catalog.ingredient_count}")
+    t = args.t
+    side = class_masks(t, args.k, 2)
+    k = min(args.k, t - args.k)
+    print(f"t={t} k={k} entry={k * (t - k) // 2}")
+    # Class 2 keeps every mask of sizes k and t - k.  Complements pair them
+    # within a profile (t is odd, so the sizes differ): half are of size k.
+    for ingredient, size in zip(side.ingredients, side.sizes.tolist()):
+        print(f"profile {ingredient.counts}: {size // 2} masks")
+    print(f"profiles: {len(side.ingredients)}")
     return EXIT_OK
 
 

@@ -253,10 +253,9 @@ def is_hadamard_direct(M: SignMatrix) -> bool:
 
 def format_matrix(t: int, M: SignMatrix) -> str:
     """Matrix text format: line 1 't=<t>', then 4t rows of 4t '+'/'-'."""
-    rows = ["t=%d" % t]
-    for row in np.asarray(M):
-        rows.append("".join("+" if v > 0 else "-" for v in row))
-    return "\n".join(rows) + "\n"
+    signs = np.where(np.asarray(M) > 0, ord("+"), ord("-"))
+    lines = np.column_stack([signs, np.full(len(signs), ord("\n"))]).astype(np.uint8)
+    return f"t={t}\n" + lines.tobytes().decode()
 
 
 def parse_matrix(text: str) -> tuple[int, SignMatrix]:

@@ -14,6 +14,7 @@ space long before any mask is enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import isqrt
 
 from .group import validate_t
@@ -45,7 +46,7 @@ class Distribution:
     entries holds the four class budgets in descending order; deficits
     holds the matching triangular shortfalls in ascending order, summing
     to (t - 1) / 2.  Which class gets which budget stays open here; the
-    search tries every distinct assignment.
+    search tries each of assignments().
     """
 
     t: int
@@ -62,9 +63,9 @@ class Distribution:
             if entry + deficit != cap:
                 raise ValueError(f"entry {entry} and deficit {deficit} do not pair")
 
-    def class_sizes(self) -> tuple[int, int, int, int]:
-        """Smaller class size for each entry; t - k realizes the same entry."""
-        return tuple(entry_class_size(self.t, e) for e in self.entries)
+    def assignments(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Distinct ways to give the entries to classes (1, 2, 3, 0), descending."""
+        return tuple(sorted(set(permutations(self.entries)), reverse=True))
 
 
 def enumerate_distributions(t: int) -> tuple[Distribution, ...]:

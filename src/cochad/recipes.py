@@ -6,27 +6,36 @@ outside the mask, for m = 1 .. (t - 1) / 2.  Masks sharing the profile
 are interchangeable on those rows, so candidates group into ingredients
 (one profile, many masks) and a recipe picks one ingredient per class
 such that every row collects exactly t heads.  Rotation and
-complementation preserve profiles, so the size-k catalog serves size
-t - k as well.  Recipes prune hard: the surviving candidate space is a
+complementation preserve profiles, so sizes k and t - k realize the same
+ingredients.  Recipes prune hard: the surviving candidate space is a
 tiny slice of the raw subset lattice, and the remaining row conditions
 are checked per candidate afterwards.
 
-class_masks lays one class's admissible masks out as the flat arrays
-the search joins on: the masks grouped by profile, each profile's
-base-(t + 1) code, and the group sizes and offsets.  expand_recipe
-reads the same arrays.
+class_masks is the one catalog of ingredients.  It reads the profiles of
+one class's admissible masks off the mask tables in a single array pass
+and lays them out as the flat arrays the search joins on: the masks
+grouped by profile, each profile's base-(t + 1) code, and the group
+sizes and offsets.  enumerate_recipes, expand_recipe and the
+ingredients command read the same arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitmask import forbidden_position, ingredient_counts, join_classes, mask_of, mask_tables
+from .bitmask import (
+    CLASS_ORDER,
+    forbidden_position,
+    ingredient_counts,
+    join_classes,
+    mask_of,
+    mask_tables,
+)
 from .cocyclic import CoboundarySubset
 from .distributions import Distribution, entry_class_size
 from .group import GroupContext
@@ -49,27 +58,6 @@ class Ingredient:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class IngredientCatalog:
-    """Size-k masks of one class budget, grouped by head profile.
-
-    Masks are stored for the representative size k = min(k, t - k); the
-    bitwise complements realize the same profiles at size t - k.
-    """
-
-    t: int
-    k: int
-    entry: int
-    groups: tuple[tuple[Ingredient, tuple[int, ...]], ...]
-
-    @property
-    def ingredient_count(self) -> int:
-        return len(self.groups)
-
-    def ingredients(self) -> tuple[Ingredient, ...]:
-        return tuple(ing for ing, _ in self.groups)
-
-
 def ingredient_of(t: int, positions: Iterable[int]) -> Ingredient:
     """Head profile of the mask holding the given positions in 0..t-1."""
     tables = mask_tables(t)
@@ -79,22 +67,6 @@ def ingredient_of(t: int, positions: Iterable[int]) -> Ingredient:
         raise ValueError(f"positions {bad} outside [0, {t})")
     counts = tuple(int(c) for c in ingredient_counts(tables, mask_of(pos)))
     return Ingredient(counts, min(len(pos), t - len(pos)))
-
-
-@lru_cache(maxsize=None)
-def enumerate_ingredients(t: int, k: int) -> IngredientCatalog:
-    """Catalog of all size-min(k, t-k) masks, grouped by profile."""
-    tables = mask_tables(t)
-    if not 0 <= k <= t:
-        raise ValueError(f"k must be in [0, {t}], got {k}")
-    krep = min(k, t - k)
-    groups: dict[Ingredient, list[int]] = {}
-    for combo in combinations(range(t), krep):
-        mask = mask_of(combo)
-        counts = tuple(int(c) for c in ingredient_counts(tables, mask))
-        groups.setdefault(Ingredient(counts, krep), []).append(mask)
-    ordered = tuple(sorted((ing, tuple(sorted(ms))) for ing, ms in groups.items()))
-    return IngredientCatalog(t, krep, krep * (t - krep) // 2, ordered)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,28 +94,30 @@ class ClassMasks:
 def class_masks(t: int, k: int, cls: int) -> ClassMasks:
     """Masks a canonical subset may use in one class, grouped by profile.
 
-    Every profile of the size-k catalog is realized by its masks and by
-    their complements (sizes k and t - k, which share the class budget);
-    masks covering the class's forbidden position are dropped.  Groups
-    keep the catalog's profile order.
+    The class holds k or t - k positions (both give one budget, and
+    complements share profiles); masks covering the class's forbidden
+    position are dropped.  Profiles ascend, and so do their codes,
+    since every digit is below t + 1; the masks of each profile ascend.
     """
-    full = mask_tables(t).full
+    tables = mask_tables(t)
+    if not 0 <= k <= t:
+        raise ValueError(f"k must be in [0, {t}], got {k}")
+    masks = np.flatnonzero((tables.pc == k) | (tables.pc == t - k))
     forb = forbidden_position(cls, t)
-    groups = enumerate_ingredients(t, k).groups
-    per_profile = []
-    for _, base in groups:
-        masks = base + tuple(m ^ full for m in base)
-        if forb is not None:
-            masks = tuple(m for m in masks if not (m >> forb) & 1)
-        per_profile.append(sorted(masks))
-    digits = np.array([ing.counts for ing, _ in groups], dtype=np.int64)
-    sizes = np.array([len(masks) for masks in per_profile], dtype=np.int64)
+    if forb is not None:
+        masks = masks[(masks >> forb) & 1 == 0]
+    digits = ingredient_counts(tables, masks).astype(np.int64)
+    codes = (t + 1) ** np.arange(tables.half - 1, -1, -1) @ digits
+    order = np.lexsort((masks, codes))
+    codes, starts, sizes = np.unique(codes[order], return_index=True, return_counts=True)
+    krep = min(k, t - k)
+    heads = digits[:, order[starts]].T.tolist()
     return ClassMasks(
-        ingredients=tuple(ing for ing, _ in groups),
-        codes=digits @ (t + 1) ** np.arange(digits.shape[1] - 1, -1, -1),
+        ingredients=tuple(Ingredient(tuple(counts), krep) for counts in heads),
+        codes=codes,
         sizes=sizes,
-        starts=np.cumsum(sizes) - sizes,
-        flat=np.array([m for masks in per_profile for m in masks], dtype=np.int64),
+        starts=starts,
+        flat=masks[order],
     )
 
 
@@ -167,13 +141,12 @@ def enumerate_recipes(distribution: Distribution) -> tuple[Recipe, ...]:
     and 2 from the left, classes 3 and 0 against the complement to t.
     """
     t = distribution.t
-    catalogs = {
-        entry: enumerate_ingredients(t, entry_class_size(t, entry))
-        for entry in set(distribution.entries)
-    }
     out = []
-    for assignment in sorted(set(permutations(distribution.entries)), reverse=True):
-        ing1, ing2, ing3, ing0 = (catalogs[e].ingredients() for e in assignment)
+    for assignment in distribution.assignments():
+        ing1, ing2, ing3, ing0 = (
+            class_masks(t, entry_class_size(t, entry), cls).ingredients
+            for entry, cls in zip(assignment, CLASS_ORDER)
+        )
         left: dict[tuple[int, ...], list[tuple[Ingredient, Ingredient]]] = {}
         for a in ing1:
             for b in ing2:
@@ -186,14 +159,6 @@ def enumerate_recipes(distribution: Distribution) -> tuple[Recipe, ...]:
                     out.append(Recipe(t, (a, b, c, d)))
     out.sort()
     return tuple(out)
-
-
-def distribution_ingredient_counts(distribution: Distribution) -> tuple[int, int, int, int]:
-    """Distinct profiles available per budget entry, in entry order."""
-    return tuple(
-        enumerate_ingredients(distribution.t, k).ingredient_count
-        for k in distribution.class_sizes()
-    )
 
 
 def recipe_of(subset: CoboundarySubset) -> Recipe:
@@ -218,10 +183,9 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
     if recipe.t != t:
         raise ValueError(f"recipe is for t={recipe.t}, context has t={t}")
     per_class = []
-    for cls, ing in zip((1, 2, 3, 0), recipe.ingredients):
+    for cls, ing in zip(CLASS_ORDER, recipe.ingredients):
         side = class_masks(t, ing.k, cls)
         i = side.ingredients.index(ing)
         per_class.append(side.flat[side.starts[i] : side.starts[i] + side.sizes[i]].tolist())
-    for combo in product(*per_class):
-        chosen = dict(zip((1, 2, 3, 0), combo))
-        yield CoboundarySubset(ctx, frozenset(join_classes(t, chosen)))
+    for row in product(*per_class):
+        yield CoboundarySubset(ctx, frozenset(join_classes(t, row)))

@@ -35,7 +35,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +57,7 @@ from .cocyclic import (
 )
 from .distributions import Distribution, entry_class_size, enumerate_distributions
 from .group import GroupContext, validate_t
-from .recipes import ClassMasks, Recipe, class_masks, distribution_ingredient_counts
+from .recipes import ClassMasks, Recipe, class_masks
 
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
@@ -283,7 +282,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     found: list[tuple[list[int], Recipe]] = []
     recipe_count = 0
     checked = 0
-    for assignment in sorted(set(permutations(distribution.entries)), reverse=True):
+    for assignment in distribution.assignments():
         classes = [sides[entry, cls] for entry, cls in zip(assignment, CLASS_ORDER)]
         masks, profiles, n_recipes, n_checked = _join_assignment(t, *classes)
         recipe_count += n_recipes
@@ -296,7 +295,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     ctx = GroupContext(t)
     records: list[SolutionRecord] = []
     for row, recipe in found:
-        subset = CoboundarySubset(ctx, frozenset(join_classes(t, dict(zip(CLASS_ORDER, row)))))
+        subset = CoboundarySubset(ctx, frozenset(join_classes(t, row)))
         if not is_hadamard_direct(assemble_cocyclic(subset)):
             raise AssertionError(f"candidate failed certification: {subset}")
         records.append(SolutionRecord(subset, recipe))
@@ -305,7 +304,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     records.sort(key=lambda rec: rec.subset.sorted_indices())
     report = DistributionReport(
         distribution=distribution,
-        ingredient_counts=distribution_ingredient_counts(distribution),
+        ingredient_counts=tuple(len(sides[e, 2].ingredients) for e in distribution.entries),
         recipe_count=recipe_count,
         solution_recipe_count=len({rec.recipe for rec in records}),
         solutions=tuple(records),
@@ -376,10 +375,7 @@ def brute_force(t: int) -> BruteForceReport:
             ok = row_test_batch(tables, m1, m2, grid3, grid0)
             for m3, m0 in zip(grid3[ok].tolist(), grid0[ok].tolist()):
                 found.append((m1, m2, m3, m0))
-    subsets = [
-        CoboundarySubset(ctx, frozenset(join_classes(t, dict(zip(CLASS_ORDER, row)))))
-        for row in found
-    ]
+    subsets = [CoboundarySubset(ctx, frozenset(join_classes(t, row))) for row in found]
     subsets.sort(key=CoboundarySubset.sorted_indices)
     return BruteForceReport(t, 1 << bits, tuple(subsets))
 
@@ -395,12 +391,28 @@ def verify_matrix_file(path) -> tuple[int, bool]:
     return t, is_hadamard_direct(matrix)
 
 
+def _write_atomic(target: Path, text: str) -> None:
+    """Write text to a temp file beside target, then rename it over target.
+
+    A failed write leaves target as it was and removes the temp file.
+    """
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def export_solutions(report: SearchReport, directory) -> list[Path]:
     """Write one matrix file per solution plus a run summary.
 
     File names carry t and a digest of the matrix text, so re-exporting
     the same report overwrites byte-identical files.  The summary holds
     the per-distribution table and totals, nothing time-dependent.
+    Every file is written atomically, so a failed export never leaves a
+    partly written file behind.
     """
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,8 +424,8 @@ def export_solutions(report: SearchReport, directory) -> list[Path]:
         text = format_matrix(report.t, assemble_cocyclic(record.subset))
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         target = out_dir / f"t{report.t:02d}-{digest}.txt"
-        target.write_text(text)
+        _write_atomic(target, text)
         written.append(target)
     lines.append(f"matrices written: {len(written)}")
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    _write_atomic(out_dir / "report.txt", "\n".join(lines) + "\n")
     return written

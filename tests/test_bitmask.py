@@ -1,9 +1,14 @@
 """Packed-bit kernels against set-arithmetic oracles and the direct test."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cochad.bitmask import (
+    CLASS_ORDER,
     forbidden_position,
     ingredient_counts,
     join_classes,
@@ -21,7 +26,8 @@ from cochad.cocyclic import (
     prohibited_indices,
 )
 from cochad.group import GroupContext
-from cochad.search import brute_force
+from cochad.paths import is_hadamard_paths
+from cochad.search import brute_force, run_search
 
 
 def _posset(mask, t):
@@ -56,7 +62,7 @@ def test_split_join_classes():
             idx = sorted(int(x) for x in rng.choice(np.arange(1, 4 * t + 1), n, replace=False))
             masks = split_classes(t, idx)
             assert set(masks) == {1, 2, 3, 0}
-            assert join_classes(t, masks) == tuple(idx)
+            assert join_classes(t, [masks[cls] for cls in CLASS_ORDER]) == tuple(idx)
     with pytest.raises(ValueError):
         split_classes(3, [13])
     with pytest.raises(ValueError):
@@ -133,7 +139,7 @@ def _row_test_cases():
     draws for t = 5..13."""
     cases = {t: set() for t in range(3, 15, 2)}
     for masks in _NEAR_MISSES_T7:
-        cases[7].add(frozenset(join_classes(7, dict(zip((1, 2, 3, 0), masks)))))
+        cases[7].add(frozenset(join_classes(7, masks)))
     pool5 = sorted(set(range(1, 21)) - prohibited_indices(GroupContext(5)))
     for subset in brute_force(5).solutions:
         cases[5].add(subset.indices)
@@ -170,3 +176,43 @@ def test_row_test_batch_matches_direct():
             assert type(scalar) is bool and scalar == want[k]
         hadamard += sum(want)
     assert hadamard == 24 + 120
+
+
+@lru_cache(maxsize=None)
+def _solution_indices(t):
+    return tuple(rec.subset.sorted_indices() for rec in run_search(t).solutions())
+
+
+@st.composite
+def _canonical_subsets(draw):
+    """A canonical subset for odd t <= 15: for t <= 7 often a search
+    solution with at most one index flipped, otherwise any pick."""
+    t = draw(st.sampled_from(range(3, 17, 2)), label="t")
+    ctx = GroupContext(t)
+    pool = sorted(set(range(1, 4 * t + 1)) - prohibited_indices(ctx))
+    if t <= 7 and draw(st.booleans(), label="near a solution"):
+        picked = set(draw(st.sampled_from(_solution_indices(t)), label="solution"))
+        flip = draw(st.none() | st.sampled_from(pool), label="flipped index")
+        picked ^= set() if flip is None else {flip}
+    else:
+        bits = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+        picked = {i for i, bit in zip(pool, bits) if bit}
+    return CoboundarySubset(ctx, frozenset(picked))
+
+
+def test_row_test_batch_matches_paths():
+    # The kernel against the readable chain oracle, with true verdicts among
+    # the draws.
+    verdicts = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(subset=_canonical_subsets())
+    def check(subset):
+        t = subset.ctx.t
+        masks = split_classes(t, subset.indices)
+        got = row_test_batch(mask_tables(t), *(masks[cls] for cls in CLASS_ORDER))
+        assert got == is_hadamard_paths(subset)
+        verdicts.append(got)
+
+    check()
+    assert any(verdicts) and not all(verdicts)

@@ -1,5 +1,7 @@
 """Budget distributions, triangular arithmetic, and size bounds."""
 
+from math import factorial, prod
+
 import pytest
 
 from cochad.distributions import (
@@ -84,7 +86,26 @@ def test_distribution_invariants():
 def test_distribution_class_sizes():
     dist = enumerate_distributions(13)[0]
     assert dist.entries == (21, 21, 21, 15)
-    assert dist.class_sizes() == (6, 6, 6, 3)
+    assert [entry_class_size(13, e) for e in dist.entries] == [6, 6, 6, 3]
+
+
+def test_distribution_assignments():
+    dist = enumerate_distributions(13)[0]
+    assert dist.assignments() == (
+        (21, 21, 21, 15),
+        (21, 21, 15, 21),
+        (21, 15, 21, 21),
+        (15, 21, 21, 21),
+    )
+    (dist,) = enumerate_distributions(9)[1:]
+    assert dist.assignments() == ((9, 9, 9, 9),)
+    for t in (7, 9, 11, 13, 15):
+        for dist in enumerate_distributions(t):
+            got = dist.assignments()
+            assert list(got) == sorted(set(got), reverse=True)
+            assert all(tuple(sorted(a, reverse=True)) == dist.entries for a in got)
+            repeats = prod(factorial(dist.entries.count(e)) for e in set(dist.entries))
+            assert len(got) == factorial(4) // repeats
 
 
 def test_distribution_validation():

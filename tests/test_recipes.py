@@ -1,6 +1,5 @@
 """Head-profile catalogs, recipe enumeration, and subset expansion."""
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -14,8 +13,6 @@ from cochad.paths import check_residue_one_rows, is_hadamard_paths, row_adjacenc
 from cochad.recipes import (
     Ingredient,
     class_masks,
-    distribution_ingredient_counts,
-    enumerate_ingredients,
     enumerate_recipes,
     expand_recipe,
     ingredient_of,
@@ -75,81 +72,75 @@ def test_profile_counts_chains_at_residue_one_rows():
                 assert len(adj.chains) == counts[m - 1]
 
 
-def test_enumerate_ingredients_small_catalog():
-    catalog = enumerate_ingredients(5, 2)
-    assert catalog.t == 5 and catalog.k == 2 and catalog.entry == 3
-    assert catalog.ingredient_count == 2
-    profiles = [ing.counts for ing in catalog.ingredients()]
-    assert sorted(profiles) == [(1, 2), (2, 1)]
-    for ing in catalog.ingredients():
-        assert len(dict(catalog.groups)[ing]) == 5
-        assert ing.total == catalog.entry
-
-
-def test_enumerate_ingredients_representative_size():
-    # size k and t - k share one catalog at the representative size
-    assert enumerate_ingredients(5, 3).k == 2
-    assert enumerate_ingredients(5, 3).groups == enumerate_ingredients(5, 2).groups
-    with pytest.raises(ValueError):
-        enumerate_ingredients(5, 6)
-    with pytest.raises(ValueError):
-        enumerate_ingredients(5, -1)
-
-
-def test_enumerate_ingredients_mask_conservation():
-    for t, k in ((5, 2), (7, 3), (9, 4), (11, 3)):
-        catalog = enumerate_ingredients(t, k)
-        total = sum(len(masks) for _, masks in catalog.groups)
-        assert total == comb(t, min(k, t - k))
-        seen = set()
-        for _, masks in catalog.groups:
-            assert masks == tuple(sorted(masks))
-            seen.update(masks)
-        assert len(seen) == total
-
-
-def test_enumerate_ingredients_frozen_counts():
-    # catalog sizes behind the t = 13 distributions
-    assert enumerate_ingredients(13, 6).ingredient_count == 74
-    assert enumerate_ingredients(13, 5).ingredient_count == 57
-    assert enumerate_ingredients(13, 4).ingredient_count == 34
-    assert enumerate_ingredients(13, 3).ingredient_count == 14
-
-
 def _class_mask_groups(side):
     return np.split(side.flat, side.starts[1:])
 
 
-def test_class_masks_sizes_and_avoidance():
-    t = 5
+def test_enumerate_ingredients_small_catalog():
+    side = class_masks(5, 2, 2)
+    assert side.ingredients == (Ingredient((1, 2), 2), Ingredient((2, 1), 2))
+    for ing, masks in zip(side.ingredients, _class_mask_groups(side)):
+        assert ing.k == 2 and ing.total == 3
+        # five rotations of one size-2 mask and their complements
+        assert sorted(bin(m).count("1") for m in masks.tolist()) == [2] * 5 + [3] * 5
+
+
+def test_enumerate_ingredients_representative_size():
+    # sizes k and t - k give one catalog, recorded at the smaller size
     for cls in CLASS_ORDER:
-        for k in range(t + 1):
-            side = class_masks(t, k, cls)
-            avoid = forbidden_position(cls, t)
-            sizes = {k, t - k}
-            assert list(side.ingredients) == list(enumerate_ingredients(t, k).ingredients())
-            groups = _class_mask_groups(side)
-            assert [len(masks) for masks in groups] == side.sizes.tolist()
-            seen = set()
-            for ing, code, masks in zip(side.ingredients, side.codes.tolist(), groups):
-                assert code == sum(c * (t + 1) ** e for e, c in enumerate(reversed(ing.counts)))
-                for mask in masks.tolist():
-                    assert bin(mask).count("1") in sizes
-                    if avoid is not None:
-                        assert not (mask >> avoid) & 1
-                    assert ingredient_of(t, [p for p in range(t) if (mask >> p) & 1]) == ing
-                    seen.add(mask)
-            # every admissible mask is present exactly once
-            expected = {
-                mask
-                for mask in range(1 << t)
-                if bin(mask).count("1") in sizes
-                and (avoid is None or not (mask >> avoid) & 1)
-            }
-            assert seen == expected
-            assert len(side.flat) == len(expected)
+        low, high = class_masks(5, 2, cls), class_masks(5, 3, cls)
+        assert high.ingredients == low.ingredients
+        assert all(ing.k == 2 for ing in high.ingredients)
+        for name in ("codes", "sizes", "starts", "flat"):
+            assert np.array_equal(getattr(high, name), getattr(low, name)), name
+    for k in (6, -1):
+        with pytest.raises(ValueError):
+            class_masks(5, k, 2)
+
+
+def test_enumerate_ingredients_mask_conservation():
+    # class 2 has no forbidden position, so it keeps every mask of both sizes
+    for t, k in ((5, 2), (7, 3), (9, 4), (11, 3)):
+        side = class_masks(t, k, 2)
+        assert len(set(side.flat.tolist())) == len(side.flat) == 2 * comb(t, k)
+        assert side.sizes.sum() == len(side.flat)
+        assert side.starts.tolist() == (np.cumsum(side.sizes) - side.sizes).tolist()
+
+
+def test_enumerate_ingredients_frozen_counts():
+    # catalog sizes behind the t = 13 distributions, the same in every class
+    for k, count in ((6, 74), (5, 57), (4, 34), (3, 14)):
+        for cls in CLASS_ORDER:
+            assert len(class_masks(13, k, cls).ingredients) == count
+
+
+def test_class_masks_sizes_and_avoidance():
+    for t in (5, 7, 9):
+        for cls in CLASS_ORDER:
+            for k in range(t + 1):
+                _check_class_masks(t, k, cls)
     with pytest.raises(ValueError):
         class_masks(5, 6, 2)
+
+
+def _check_class_masks(t, k, cls):
+    side = class_masks(t, k, cls)
+    avoid = forbidden_position(cls, t)
+    sizes = {k, t - k}
+    # every admissible mask, grouped by its profile from ingredient_of
+    expected: dict[Ingredient, set[int]] = {}
+    for mask in range(1 << t):
+        if bin(mask).count("1") in sizes and (avoid is None or not (mask >> avoid) & 1):
+            ing = ingredient_of(t, [p for p in range(t) if (mask >> p) & 1])
+            expected.setdefault(ing, set()).add(mask)
+    assert list(side.ingredients) == sorted(expected)
+    assert all(ing.k == min(k, t - k) for ing in side.ingredients)
+    groups = _class_mask_groups(side)
+    assert [len(masks) for masks in groups] == side.sizes.tolist()
+    for ing, code, masks in zip(side.ingredients, side.codes.tolist(), groups):
+        assert code == sum(c * (t + 1) ** e for e, c in enumerate(reversed(ing.counts)))
+        assert set(masks.tolist()) == expected[ing]
+    assert len(side.flat) == sum(len(masks) for masks in expected.values())
 
 
 def test_class_masks_sorted():
@@ -158,19 +149,6 @@ def test_class_masks_sorted():
         assert masks.tolist() == sorted(set(masks.tolist()))
     with pytest.raises(ValueError):
         side.flat[0] = 0  # the cached arrays are shared, so read-only
-
-
-def test_distribution_ingredient_counts():
-    by_t = {
-        3: [(1, 1, 1, 1)],
-        5: [(2, 2, 1, 1)],
-        7: [(4, 4, 4, 1), (4, 3, 3, 3)],
-        9: [(10, 10, 7, 4), (7, 7, 7, 7)],
-        11: [(26, 20, 20, 10)],
-    }
-    for t, expected in by_t.items():
-        got = [distribution_ingredient_counts(d) for d in enumerate_distributions(t)]
-        assert got == expected, t
 
 
 def test_enumerate_recipes_frozen_counts():

@@ -1,5 +1,7 @@
 """Pruned search, brute-force scan, certification, and export."""
 
+from pathlib import Path
+
 import pytest
 
 import cochad.search
@@ -185,6 +187,32 @@ def test_export_and_verify(tmp_path):
     again = export_solutions(report, out_dir)
     assert set(again) == set(written)
     assert {path: path.read_bytes() for path in written} == before
+
+
+@pytest.mark.parametrize("failing_write", [5, 25])  # a matrix file; report.txt
+def test_failed_export_keeps_earlier_files(tmp_path, monkeypatch, failing_write):
+    report = run_search(3)
+    export_solutions(report, tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert len(before) == 25
+    real_write_text = Path.write_text
+    writes = []
+
+    def write_text(self, data, *args, **kwargs):
+        writes.append(self)
+        if len(writes) == failing_write:
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return real_write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    with pytest.raises(OSError, match="disk full"):
+        export_solutions(report, tmp_path)
+    monkeypatch.undo()
+    # Same names (so no temp file is left) and the same bytes.
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    export_solutions(report, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_verify_rejects_perturbed(tmp_path):
