@@ -10,14 +10,18 @@ becomes a table lookup:
     is popcount(S & ~rot_m(S)), the number of chain endings;
   * across a coupled class pair (a, b) the chain count is
     popcount(a & ~rot_m(b)) + popcount(b & ~rot_m(a)) and the overlap
-    count against the fixed sign table is popcount(b ^ rot_{-m}(a)).
+    count against the fixed sign table is popcount(b ^ rot_{-m}(a));
+    the sizes cancel in their difference, which pair_ci reads off the
+    left rotations alone.
 
 The zero-sum condition for a row of the assembled matrix is then a small
 integer identity per rotation shift m.  row_test_batch is the one
 executable statement of those identities: the search runs its joined
 candidates through it and brute force runs every canonical subset
-through it.  The readable reference implementation lives in the paths
-module, and tests hold both to the direct orthogonality test.
+through it.  join_classes turns a row of four class masks back into
+the subset's sorted indices.  The readable reference implementation
+lives in the paths module, and tests hold both to the direct
+orthogonality test.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from .group import validate_t
 # Class labels in column order within each block of four: residues mod 4.
 CLASS_ORDER = (1, 2, 3, 0)
 
-# MaskTables holds (t + 1) / 2 rows of 2^t entries in rot, irot (int64)
-# and runs (int16), plus xs and pc: ~0.44 GB at t = 21, ~1.9 GB at
-# t = 23 and ~8.2 GB at t = 25.
+# MaskTables holds (t + 1) / 2 rows of 2^t entries in rot (int64) and
+# runs (int16), plus pc, and xs while they are built: ~0.25 GB at
+# t = 21, ~1.1 GB at t = 23 and ~4.7 GB at t = 25.
 _TABLE_LIMIT_T = 21
 
 
@@ -61,8 +65,10 @@ class MaskTables:
 
     pc[x]       popcount of x
     rot[m][x]   x rotated left by m within t bits, 1 <= m <= (t-1)/2
-    irot[m][x]  x rotated right by m
     runs[m][x]  popcount(x & ~rot[m][x]), chain endings at shift m
+
+    Right rotations are not stored: rotation keeps popcount, so
+    |b & rot_{-m}(a)| = |a & rot_m(b)|.
     """
 
     def __init__(self, t: int) -> None:
@@ -76,11 +82,9 @@ class MaskTables:
         xs = np.arange(size, dtype=np.int64)
         self.pc = np.bitwise_count(xs).astype(np.int16)
         self.rot = np.zeros((self.half + 1, size), dtype=np.int64)
-        self.irot = np.zeros((self.half + 1, size), dtype=np.int64)
         self.runs = np.zeros((self.half + 1, size), dtype=np.int16)
         for m in range(1, self.half + 1):
             self.rot[m] = ((xs << m) | (xs >> (t - m))) & self.full
-            self.irot[m] = ((xs >> m) | (xs << (t - m))) & self.full
             self.runs[m] = self.pc[xs & ~self.rot[m] & self.full]
 
 
@@ -96,10 +100,6 @@ def mask_of(positions) -> int:
     return mask
 
 
-def positions_of(mask: int, t: int) -> tuple[int, ...]:
-    return tuple(p for p in range(t) if (mask >> p) & 1)
-
-
 def split_classes(t: int, indices) -> dict[int, int]:
     """Pack a set of 1-based indices into four class masks keyed by residue."""
     masks = {1: 0, 2: 0, 3: 0, 0: 0}
@@ -113,14 +113,12 @@ def split_classes(t: int, indices) -> dict[int, int]:
 def join_classes(t: int, row) -> tuple[int, ...]:
     """Sorted indices of four class masks given in CLASS_ORDER.
 
-    Inverse of split_classes once its masks are read in CLASS_ORDER.
+    Column j of the row holds the class of index 4p + j + 1.  Inverse of
+    split_classes once its masks are read in CLASS_ORDER.
     """
-    out = []
-    for cls, mask in zip(CLASS_ORDER, row):
-        base = cls if cls != 0 else 4
-        for p in positions_of(mask, t):
-            out.append(4 * p + base)
-    return tuple(sorted(out))
+    return tuple(
+        4 * p + j + 1 for p in range(t) for j, mask in enumerate(row) if (mask >> p) & 1
+    )
 
 
 def ingredient_counts(tables: MaskTables, mask) -> np.ndarray:
@@ -141,9 +139,10 @@ def pair_ci(tables: MaskTables, a, b, m: int):
     so callers must pass arguments in the documented pair order.  With
     chains |a - rot_m(b)| + |b - rot_m(a)| and overlaps |b ^ rot_{-m}(a)|,
     the sizes of a and b cancel and the difference is
-    |b & rot_{-m}(a)| - |b & rot_m(a)|, which is what is computed.
+    |b & rot_{-m}(a)| - |b & rot_m(a)| = |a & rot_m(b)| - |b & rot_m(a)|,
+    which is what is computed.
     """
-    return (tables.pc[b & tables.irot[m][a]] - tables.pc[b & tables.rot[m][a]]).astype(np.int32)
+    return (tables.pc[a & tables.rot[m][b]] - tables.pc[b & tables.rot[m][a]]).astype(np.int32)
 
 
 # Coupled pair order (first, second) per row residue.  At rows 4m+2 the

@@ -247,8 +247,11 @@ def is_hadamard_direct(M: SignMatrix) -> bool:
     if not np.all(np.abs(M) == 1):
         raise ValueError("entries must be +1 or -1")
     n = M.shape[0]
-    work = M.astype(np.int32)
-    return np.array_equal(work @ work.T, n * np.eye(n, dtype=np.int32))
+    # float32 puts the product on BLAS.  Each entry of the gram is a sum
+    # of n products of +-1, an integer of size at most n, so the float32
+    # sums are exact while n < 2^24.
+    work = M.astype(np.float32)
+    return np.array_equal(work @ work.T, n * np.eye(n, dtype=np.float32))
 
 
 def format_matrix(t: int, M: SignMatrix) -> str:
@@ -270,6 +273,8 @@ def parse_matrix(text: str) -> tuple[int, SignMatrix]:
         t = int(head[2:])
     except ValueError:
         raise MatrixFormatError(f"line 1: {head[2:]!r} is not an integer") from None
+    if head != f"t={t}":
+        raise MatrixFormatError(f"line 1: expected 't={t}', got {head!r}")
     if t < 3 or t % 2 == 0:
         raise MatrixFormatError(f"line 1: t must be odd and >= 3, got {t}")
     n = 4 * t

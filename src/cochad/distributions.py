@@ -14,7 +14,7 @@ space long before any mask is enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import isqrt
 
 from .group import validate_t
@@ -82,25 +82,11 @@ def enumerate_distributions(t: int) -> tuple[Distribution, ...]:
     while m * (m + 1) // 2 <= target:
         triangulars.append(m * (m + 1) // 2)
         m += 1
-    found = []
-
-    def extend(prefix: list[int], remaining: int, slots: int, floor: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                found.append(tuple(prefix))
-            return
-        for value in triangulars:
-            if value < floor or value > remaining:
-                continue
-            extend(prefix + [value], remaining - value, slots - 1, value)
-
-    extend([], target, 4, 0)
-    found.sort()
-    out = []
-    for deficits in found:
-        entries = tuple(cap - d for d in deficits)
-        out.append(Distribution(t, entries, deficits))
-    return tuple(out)
+    return tuple(
+        Distribution(t, tuple(cap - d for d in deficits), deficits)
+        for deficits in combinations_with_replacement(triangulars, 4)
+        if sum(deficits) == target
+    )
 
 
 def coboundary_bounds(

@@ -14,18 +14,19 @@ matched profile group plus the coupling score per shift that balances
 the rows congruent to 2.  Joined candidates then go through
 bitmask.row_test_batch, the one statement of all the row conditions:
 it settles the rows congruent to 3 and 0 and re-checks those congruent
-to 1 and 2 on the few survivors.  The call that searches a
-distribution also certifies every survivor by the direct orthogonality
-test and returns the finished report, so each --jobs worker certifies
-its own solutions.  The recipe columns of the report come out of the
-same join.
+to 1 and 2 on the few survivors.  The join also counts the report's
+recipe columns: every matched (A profile pair, B profile pair), and
+the distinct ones among its hits.  Its survivors stay (n, 4) mask
+rows until the call that searches a distribution turns them into
+sorted subsets and certifies each by the direct orthogonality test,
+so each --jobs worker returns only what it has certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
 one (class 1, class 2) slab at a time, as a ground truth for the
-search's pruning at small t.  Matrices travel as
-plain text (see format_matrix) so results can be exported, reloaded
-and re-verified.
+search's pruning at small t; its mask rows become subsets the same
+way.  Matrices travel as plain text (see format_matrix) so results can
+be exported, reloaded and re-verified.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .cocyclic import (
 )
 from .distributions import Distribution, entry_class_size, enumerate_distributions
 from .group import GroupContext, validate_t
-from .recipes import ClassMasks, Recipe, class_masks
+from .recipes import ClassMasks, class_masks
 
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
@@ -77,10 +78,9 @@ _BRUTE_LIMIT_BITS = 25
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """One Hadamard subset together with the recipe its classes realize."""
+    """One certified Hadamard subset."""
 
     subset: CoboundarySubset
-    recipe: Recipe
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,7 @@ class SearchReport:
         return sum(r.hadamard_count for r in self.reports)
 
     def solutions(self) -> tuple[SolutionRecord, ...]:
-        out: list[SolutionRecord] = []
-        for report in self.reports:
-            out.extend(report.solutions)
-        return tuple(out)
+        return tuple(rec for report in self.reports for rec in report.solutions)
 
 
 @dataclass(frozen=True)
@@ -198,15 +195,16 @@ def _coupling_key(tables, group, u, v, sign: int):
 def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0: ClassMasks):
     """Mask 4-tuples satisfying all row conditions for one assignment.
 
-    Returns (masks (n, 4), profile indices (n, 4) into each class's
-    ingredients, recipe count, candidates checked).  Profiles are matched
-    first: an A profile pair (classes 1, 2) meets a B pair (classes 3,
-    0) when its code sum equals t in every digit minus the B pair's
-    codes, and each such meeting is one recipe.  Only matched pairs are
-    expanded to mask rows, in batches of whole groups holding at most
-    _CHUNK_ROWS A rows (a larger group streams its A rows in slices of
-    that size against its B rows), joined on (group, coupling scores)
-    and filtered by row_test_batch.
+    Returns (masks (n, 4), recipe count, solution recipe count,
+    candidates checked).  Profiles are matched first: an A profile pair
+    (classes 1, 2) meets a B pair (classes 3, 0) when its code sum
+    equals t in every digit minus the B pair's codes, and each such
+    meeting is one recipe; the solution recipes are the distinct
+    meetings among the hits.  Only matched pairs are expanded to mask
+    rows, in batches of whole groups holding at most _CHUNK_ROWS A rows
+    (a larger group streams its A rows in slices of that size against
+    its B rows), joined on (group, coupling scores) and filtered by
+    row_test_batch.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -228,7 +226,7 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
     brow = bedges[np.searchsorted(bgroup, bounds)]
 
     hits = []
-    profiles = []
+    hit_recipes = []
     checked = 0
     g = 0
     while g < len(sums):
@@ -258,14 +256,24 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
             # only on what survives its residue-3 and residue-0 checks.
             keep = row_test_batch(tables, u1[qa], u2[qa], u3[idx], u0[idx])
             qa, idx = qa[keep], idx[keep]
-            pa, pb = apair[qa], bpair[idx]
             hits.append(np.stack([u1[qa], u2[qa], u3[idx], u0[idx]], axis=1))
-            profiles.append(np.stack([a1p[pa], a2p[pa], b3p[pb], b0p[pb]], axis=1))
+            hit_recipes.append(apair[qa] * len(b3p) + bpair[idx])
         g = h
-    if hits:
-        return np.concatenate(hits), np.concatenate(profiles), recipe_count, checked
-    empty = np.empty((0, 4), dtype=np.int64)
-    return empty, empty, recipe_count, checked
+    if not hits:
+        return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked
+    return np.concatenate(hits), recipe_count, len(np.unique(np.concatenate(hit_recipes))), checked
+
+
+def _subsets_of_rows(t: int, rows) -> list[CoboundarySubset]:
+    """The subsets of mask rows given in CLASS_ORDER, by sorted_indices.
+
+    Raises AssertionError when two rows give the same subset.
+    """
+    ctx = GroupContext(t)
+    subsets = [CoboundarySubset(ctx, frozenset(join_classes(t, row))) for row in rows]
+    if len(set(subsets)) != len(subsets):
+        raise AssertionError("mask rows produced overlapping subsets")
+    return sorted(subsets, key=CoboundarySubset.sorted_indices)
 
 
 def _search_distribution(t: int, distribution: Distribution) -> tuple[DistributionReport, int]:
@@ -279,35 +287,29 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
         for entry in set(distribution.entries)
         for cls in CLASS_ORDER
     }
-    found: list[tuple[list[int], Recipe]] = []
-    recipe_count = 0
-    checked = 0
+    rows = []
+    recipe_count = solution_recipe_count = checked = 0
     for assignment in distribution.assignments():
         classes = [sides[entry, cls] for entry, cls in zip(assignment, CLASS_ORDER)]
-        masks, profiles, n_recipes, n_checked = _join_assignment(t, *classes)
+        masks, n_recipes, n_solution_recipes, n_checked = _join_assignment(t, *classes)
+        rows.append(masks)
         recipe_count += n_recipes
+        # Assignments differ in some class budget, so no recipe repeats
+        # across them.
+        solution_recipe_count += n_solution_recipes
         checked += n_checked
-        for row, idx in zip(masks.tolist(), profiles.tolist()):
-            ings = tuple(side.ingredients[i] for side, i in zip(classes, idx))
-            found.append((row, Recipe(t, ings)))
     # Subsets are built once the joins are done: built between joins,
     # they raised the t = 13 peak RSS by ~3 MB.
-    ctx = GroupContext(t)
-    records: list[SolutionRecord] = []
-    for row, recipe in found:
-        subset = CoboundarySubset(ctx, frozenset(join_classes(t, row)))
+    subsets = _subsets_of_rows(t, np.concatenate(rows).tolist())
+    for subset in subsets:
         if not is_hadamard_direct(assemble_cocyclic(subset)):
             raise AssertionError(f"candidate failed certification: {subset}")
-        records.append(SolutionRecord(subset, recipe))
-    if len({rec.subset for rec in records}) != len(records):
-        raise AssertionError("assignments produced overlapping candidates")
-    records.sort(key=lambda rec: rec.subset.sorted_indices())
     report = DistributionReport(
         distribution=distribution,
         ingredient_counts=tuple(len(sides[e, 2].ingredients) for e in distribution.entries),
         recipe_count=recipe_count,
-        solution_recipe_count=len({rec.recipe for rec in records}),
-        solutions=tuple(records),
+        solution_recipe_count=solution_recipe_count,
+        solutions=tuple(SolutionRecord(subset) for subset in subsets),
     )
     return report, checked
 
@@ -361,7 +363,6 @@ def brute_force(t: int) -> BruteForceReport:
             f"raw scan needs 2^{bits} subsets; the cap is 2^{_BRUTE_LIMIT_BITS} (t = 7)"
         )
     tables = mask_tables(t)
-    ctx = GroupContext(t)
     xs = np.arange(1 << t, dtype=np.int64)
     d1, d2, d3, d0 = (
         xs if (forb := forbidden_position(cls, t)) is None else xs[(xs >> forb) & 1 == 0]
@@ -375,9 +376,7 @@ def brute_force(t: int) -> BruteForceReport:
             ok = row_test_batch(tables, m1, m2, grid3, grid0)
             for m3, m0 in zip(grid3[ok].tolist(), grid0[ok].tolist()):
                 found.append((m1, m2, m3, m0))
-    subsets = [CoboundarySubset(ctx, frozenset(join_classes(t, row))) for row in found]
-    subsets.sort(key=CoboundarySubset.sorted_indices)
-    return BruteForceReport(t, 1 << bits, tuple(subsets))
+    return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, found)))
 
 
 def verify_matrix_file(path) -> tuple[int, bool]:

@@ -15,7 +15,6 @@ from cochad.bitmask import (
     mask_of,
     mask_tables,
     pair_ci,
-    positions_of,
     row_test_batch,
     split_classes,
 )
@@ -43,7 +42,7 @@ def test_mask_round_trip():
         rng = np.random.default_rng(t)
         for _ in range(50):
             mask = int(rng.integers(0, 1 << t))
-            assert mask_of(positions_of(mask, t)) == mask
+            assert mask_of(_posset(mask, t)) == mask
 
 
 def test_forbidden_positions():

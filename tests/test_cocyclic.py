@@ -203,6 +203,17 @@ def test_known_solutions_t3():
         assert is_hadamard_direct(matrix)
 
 
+def test_single_flip_breaks_certified_t13():
+    # The first solution of run_search(13, distribution=0).
+    idx = {2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 18, 21, 22, 23, 25, 31, 35, 37, 41, 42, 43, 46, 49}
+    matrix = assemble_cocyclic(CoboundarySubset(GroupContext(13), frozenset(idx)))
+    assert is_hadamard_direct(matrix)
+    for r, s in np.ndindex(matrix.shape):
+        flipped = matrix.copy()
+        flipped[r, s] *= -1
+        assert not is_hadamard_direct(flipped), (r, s)
+
+
 def test_format_parse_round_trip():
     ctx = GroupContext(3)
     matrix = assemble_cocyclic(CoboundarySubset(ctx, frozenset({2, 3, 4})))
@@ -272,9 +283,13 @@ def test_parse_errors_carry_line_numbers():
         parse_matrix("t=x\n")
     with pytest.raises(MatrixFormatError, match="line 1"):
         parse_matrix("t=4\n")
+    good_rows = "\n".join(["+" * 12] * 12)
+    # Only the header is wrong: format_matrix writes exactly "t=3".
+    for head in ("t=+3", "t= 3", "t=3 ", "t=0_3", "t=03", "t=\u0663"):
+        with pytest.raises(MatrixFormatError, match="^line 1: "):
+            parse_matrix(head + "\n" + good_rows + "\n")
     with pytest.raises(MatrixFormatError, match="line 3"):
         parse_matrix("t=3\n" + "+" * 12 + "\n")
-    good_rows = "\n".join(["+" * 12] * 12)
     with pytest.raises(MatrixFormatError, match="line 5"):
         parse_matrix("t=3\n" + "\n".join(["+" * 12] * 3 + ["+" * 11] + ["+" * 12] * 8))
     with pytest.raises(MatrixFormatError, match="line 7"):

@@ -86,19 +86,29 @@ def test_search_matches_brute_force():
 def test_search_records_consistent():
     report = run_search(5)
     for record in report.solutions():
-        assert recipe_of(record.subset) == record.recipe
         assert is_hadamard_direct(assemble_cocyclic(record.subset))
 
 
 def test_search_recipes_match_reference():
     # The join counts recipes at profile level; enumerate_recipes builds
-    # them one by one.  Every solution's recipe must be one of them.
+    # them one by one.  Every solution's recipe must be one of them, and
+    # the join counts exactly the distinct ones.
     for t in (5, 7, 9):
         report = run_search(t)
         for dist, dist_report in zip(enumerate_distributions(t), report.reports):
             reference = set(enumerate_recipes(dist))
             assert dist_report.recipe_count == len(reference)
-            assert {rec.recipe for rec in dist_report.solutions} <= reference
+            solution_recipes = {recipe_of(rec.subset) for rec in dist_report.solutions}
+            assert solution_recipes <= reference
+            assert len(solution_recipes) == dist_report.solution_recipe_count
+
+
+def test_search_solutions_ascend():
+    for t in (5, 7, 9):
+        for dist_report in run_search(t).reports:
+            indices = [rec.subset.sorted_indices() for rec in dist_report.solutions]
+            assert indices == sorted(indices)
+            assert len(set(indices)) == len(indices)
 
 
 def test_join_batches_do_not_change_results(monkeypatch):
