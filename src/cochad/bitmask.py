@@ -93,28 +93,12 @@ def mask_tables(t: int) -> MaskTables:
     return MaskTables(t)
 
 
-def mask_of(positions) -> int:
-    mask = 0
-    for p in positions:
-        mask |= 1 << p
-    return mask
-
-
-def split_classes(t: int, indices) -> dict[int, int]:
-    """Pack a set of 1-based indices into four class masks keyed by residue."""
-    masks = {1: 0, 2: 0, 3: 0, 0: 0}
-    for i in indices:
-        if not 1 <= i <= 4 * t:
-            raise ValueError(f"index {i} outside [1, {4 * t}]")
-        masks[i % 4] |= 1 << ((i - 1) // 4)
-    return masks
-
-
 def join_classes(t: int, row) -> tuple[int, ...]:
     """Sorted indices of four class masks given in CLASS_ORDER.
 
     Column j of the row holds the class of index 4p + j + 1.  Inverse of
-    split_classes once its masks are read in CLASS_ORDER.
+    the index-to-mask packing in tests/oracles.py once its masks are
+    read in CLASS_ORDER.
     """
     return tuple(
         4 * p + j + 1 for p in range(t) for j, mask in enumerate(row) if (mask >> p) & 1

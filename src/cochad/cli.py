@@ -12,6 +12,7 @@ import argparse
 import sys
 from functools import lru_cache
 
+from .bitmask import ingredient_counts, mask_tables
 from .distributions import enumerate_distributions
 from .recipes import class_masks
 from .search import (
@@ -62,9 +63,10 @@ def _cmd_ingredients(args: argparse.Namespace) -> int:
     print(f"t={t} k={k} entry={k * (t - k) // 2}")
     # Class 2 keeps every mask of sizes k and t - k.  Complements pair them
     # within a profile (t is odd, so the sizes differ): half are of size k.
-    for ingredient, size in zip(side.ingredients, side.sizes.tolist()):
-        print(f"profile {ingredient.counts}: {size // 2} masks")
-    print(f"profiles: {len(side.ingredients)}")
+    profiles = ingredient_counts(mask_tables(t), side.flat[side.starts]).T.tolist()
+    for counts, size in zip(profiles, side.sizes.tolist()):
+        print(f"profile {tuple(counts)}: {size // 2} masks")
+    print(f"profiles: {len(profiles)}")
     return EXIT_OK
 
 

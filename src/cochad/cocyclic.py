@@ -262,9 +262,13 @@ def format_matrix(t: int, M: SignMatrix) -> str:
 
 
 def parse_matrix(text: str) -> tuple[int, SignMatrix]:
-    """Inverse of format_matrix; raises MatrixFormatError naming the line."""
-    lines = text.splitlines()
-    if not lines:
+    """Inverse of format_matrix; raises MatrixFormatError naming the line.
+
+    Lines end at "\n" only: any other line-break character, "\r" among
+    them, is an invalid character of the line it sits on.
+    """
+    lines = text.removesuffix("\n").split("\n")
+    if not text:
         raise MatrixFormatError("line 1: empty input, expected 't=<value>'")
     head = lines[0]
     if not head.startswith("t="):
@@ -281,16 +285,16 @@ def parse_matrix(text: str) -> tuple[int, SignMatrix]:
     body = lines[1:]
     if len(body) < n:
         raise MatrixFormatError(f"line {len(lines) + 1}: expected {n} matrix rows, found {len(body)}")
-    extra = [k for k, stray in enumerate(body[n:]) if stray.strip()]
+    extra = [k for k, stray in enumerate(body[n:]) if stray.strip(" \t")]
     if extra:
         raise MatrixFormatError(f"line {n + 2 + extra[0]}: trailing content after {n} matrix rows")
     out = np.empty((n, n), dtype=np.int8)
     for k, line in enumerate(body[:n]):
-        if len(line) != n:
-            raise MatrixFormatError(f"line {k + 2}: expected {n} characters, found {len(line)}")
         stray = set(line) - {"+", "-"}
         if stray:
             raise MatrixFormatError(f"line {k + 2}: invalid characters {sorted(stray)!r}")
+        if len(line) != n:
+            raise MatrixFormatError(f"line {k + 2}: expected {n} characters, found {len(line)}")
         out[k] = np.frombuffer(line.encode(), dtype=np.uint8) == ord("+")
     out = (2 * out.astype(np.int8) - 1).astype(np.int8)
     return t, out

@@ -8,10 +8,10 @@ recipes.class_masks keeps per class: masks grouped by profile, and
 each profile's integer code.  First the profiles: the code sums of
 class pairs (1, 2) are matched against t minus those of (3, 0); each
 match is one recipe, found without touching a single mask.  Then the
-masks: only matched profile pairs are expanded, in batches of at most
-_CHUNK_ROWS rows, and the two sides meet on one key per row, the
-matched profile group plus the coupling score per shift that balances
-the rows congruent to 2.  Joined candidates then go through
+masks: only matched profile pairs are expanded, in batches of whole
+profile groups (see _CHUNK_ROWS), and the two sides meet on one key
+per row, the matched profile group plus the coupling score per shift
+that balances the rows congruent to 2.  Joined candidates then go through
 bitmask.row_test_batch, the one statement of all the row conditions:
 it settles the rows congruent to 3 and 0 and re-checks those congruent
 to 1 and 2 on the few survivors.  The join also counts the report's
@@ -67,9 +67,12 @@ from .recipes import ClassMasks, class_masks
 # no larger t has been run to completion.
 _JOIN_LIMIT_T = 15
 
-# Upper bound on A-side pair rows materialized at once.  Measured on
-# run_search(13), 2 cores: 2^14 to 2^16 join equally fast, 2^17 and up
-# are slower and 2^13 slower again; peak RSS grows with the batch.
+# A join batch is a run of whole profile groups holding at most this
+# many A-side pair rows; a group larger than that is a batch of its own.
+# No group exceeds it at t <= 13; at t = 15 the largest holds 77400.
+# Measured on run_search(13), 2 cores: 2^14 to 2^16 join equally fast,
+# 2^17 and up are slower and 2^13 slower again; peak RSS grows with the
+# batch.
 _CHUNK_ROWS = 1 << 15
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
@@ -163,16 +166,13 @@ def _matched_pairs(x: ClassMasks, y: ClassMasks, codes, sums):
     return px, py, group[order], edges
 
 
-def _pair_rows(x: ClassMasks, y: ClassMasks, px, py, edges, lo: int, hi: int):
-    """Rows lo..hi-1 of the concatenated products masks(px[p]) x masks(py[p]).
+def _pair_rows(x: ClassMasks, y: ClassMasks, px, py, edges, first: int, stop: int):
+    """All rows of the products masks(px[p]) x masks(py[p]), first <= p < stop.
 
     Returns the two mask columns and the pair index of each row.
     """
-    first = int(np.searchsorted(edges, lo, side="right")) - 1
-    stop = int(np.searchsorted(edges, hi, side="left"))
-    counts = np.minimum(edges[first + 1 : stop + 1], hi) - np.maximum(edges[first:stop], lo)
-    pair = np.repeat(np.arange(first, stop), counts)
-    local = np.arange(lo, hi, dtype=np.int64) - edges[pair]
+    pair = np.repeat(np.arange(first, stop), np.diff(edges[first : stop + 1]))
+    local = np.arange(edges[first], edges[stop], dtype=np.int64) - edges[pair]
     i, j = np.divmod(local, y.sizes[py[pair]])
     u = x.flat[x.starts[px[pair]] + i]
     v = y.flat[y.starts[py[pair]] + j]
@@ -202,9 +202,8 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
     meeting is one recipe; the solution recipes are the distinct
     meetings among the hits.  Only matched pairs are expanded to mask
     rows, in batches of whole groups holding at most _CHUNK_ROWS A rows
-    (a larger group streams its A rows in slices of that size against
-    its B rows), joined on (group, coupling scores) and filtered by
-    row_test_batch.
+    (a larger group is a batch of its own), joined on (group, coupling
+    scores) and filtered by row_test_batch.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -220,10 +219,11 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
     recipe_count = int(
         np.dot(np.bincount(agroup, minlength=len(sums)), np.bincount(bgroup, minlength=len(sums)))
     )
-    # Row offsets of each group's rows on either side.
+    # First pair of each group on either side, and the A row offsets.
     bounds = np.arange(len(sums) + 1)
-    arow = aedges[np.searchsorted(agroup, bounds)]
-    brow = bedges[np.searchsorted(bgroup, bounds)]
+    apos = np.searchsorted(agroup, bounds)
+    bpos = np.searchsorted(bgroup, bounds)
+    arow = aedges[apos]
 
     hits = []
     hit_recipes = []
@@ -231,33 +231,31 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
     g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
-        u3, u0, bpair = _pair_rows(c3, c0, b3p, b0p, bedges, brow[g], brow[h])
+        u3, u0, bpair = _pair_rows(c3, c0, b3p, b0p, bedges, bpos[g], bpos[h])
         bkey = _coupling_key(tables, bgroup[bpair] - g, u3, u0, -1)
         order = np.argsort(bkey)
         bkey, u3, u0, bpair = bkey[order], u3[order], u0[order], bpair[order]
-        for lo in range(arow[g], arow[h], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, arow[h])
-            u1, u2, apair = _pair_rows(c1, c2, a1p, a2p, aedges, lo, hi)
-            akey = _coupling_key(tables, agroup[apair] - g, u1, u2, 1)
-            # Sorted probes walk bkey in order, which is several times
-            # faster than probing it at random.
-            aorder = np.argsort(akey)
-            akey = akey[aorder]
-            first = np.searchsorted(bkey, akey, side="left")
-            cnt = np.searchsorted(bkey, akey, side="right") - first
-            nz = np.nonzero(cnt)[0]
-            reps = cnt[nz]
-            total = int(reps.sum())
-            checked += total
-            offs = np.cumsum(reps) - reps
-            idx = np.repeat(first[nz] - offs, reps) + np.arange(total)
-            qa = aorder[np.repeat(nz, reps)]
-            # Residues 1 and 2 hold by the join; the kernel re-checks them
-            # only on what survives its residue-3 and residue-0 checks.
-            keep = row_test_batch(tables, u1[qa], u2[qa], u3[idx], u0[idx])
-            qa, idx = qa[keep], idx[keep]
-            hits.append(np.stack([u1[qa], u2[qa], u3[idx], u0[idx]], axis=1))
-            hit_recipes.append(apair[qa] * len(b3p) + bpair[idx])
+        u1, u2, apair = _pair_rows(c1, c2, a1p, a2p, aedges, apos[g], apos[h])
+        akey = _coupling_key(tables, agroup[apair] - g, u1, u2, 1)
+        # Sorted probes walk bkey in order, which is several times
+        # faster than probing it at random.
+        aorder = np.argsort(akey)
+        akey = akey[aorder]
+        first = np.searchsorted(bkey, akey, side="left")
+        cnt = np.searchsorted(bkey, akey, side="right") - first
+        nz = np.nonzero(cnt)[0]
+        reps = cnt[nz]
+        total = int(reps.sum())
+        checked += total
+        offs = np.cumsum(reps) - reps
+        idx = np.repeat(first[nz] - offs, reps) + np.arange(total)
+        qa = aorder[np.repeat(nz, reps)]
+        # Residues 1 and 2 hold by the join; the kernel re-checks them
+        # only on what survives its residue-3 and residue-0 checks.
+        keep = row_test_batch(tables, u1[qa], u2[qa], u3[idx], u0[idx])
+        qa, idx = qa[keep], idx[keep]
+        hits.append(np.stack([u1[qa], u2[qa], u3[idx], u0[idx]], axis=1))
+        hit_recipes.append(apair[qa] * len(b3p) + bpair[idx])
         g = h
     if not hits:
         return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked
@@ -306,7 +304,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
             raise AssertionError(f"candidate failed certification: {subset}")
     report = DistributionReport(
         distribution=distribution,
-        ingredient_counts=tuple(len(sides[e, 2].ingredients) for e in distribution.entries),
+        ingredient_counts=tuple(len(sides[e, 2].codes) for e in distribution.entries),
         recipe_count=recipe_count,
         solution_recipe_count=solution_recipe_count,
         solutions=tuple(SolutionRecord(subset) for subset in subsets),

@@ -12,11 +12,9 @@ from cochad.bitmask import (
     forbidden_position,
     ingredient_counts,
     join_classes,
-    mask_of,
     mask_tables,
     pair_ci,
     row_test_batch,
-    split_classes,
 )
 from cochad.cocyclic import (
     CoboundarySubset,
@@ -27,6 +25,7 @@ from cochad.cocyclic import (
 from cochad.group import GroupContext
 from cochad.paths import is_hadamard_paths
 from cochad.search import brute_force, run_search
+from oracles import mask_of, split_classes
 
 
 def _posset(mask, t):

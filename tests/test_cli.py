@@ -1,11 +1,15 @@
 """Command line behavior: output formats and exit codes."""
 
 import multiprocessing
+from math import comb
 
+import numpy as np
 import pytest
 
 import cochad.search
 from cochad.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_OK, EXIT_VERDICT_FALSE, main
+from cochad.recipes import class_masks
+from oracles import ingredient_of, positions_of
 
 
 def test_search_output(capsys):
@@ -72,6 +76,24 @@ def test_ingredients_output(capsys):
     assert sorted(out[1:3]) == ["profile (1, 2): 5 masks", "profile (2, 1): 5 masks"]
     assert out[3] == "profiles: 2"
 
+    # Every profile line against the reference model, group by group.
+    code = main(["ingredients", "--t", "13", "--k", "6"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert out[0] == "t=13 k=6 entry=21"
+    assert out[-1] == "profiles: 74"
+    side = class_masks(13, 6, 2)
+    groups = np.split(side.flat, side.starts[1:])
+    assert len(out) == len(groups) + 2
+    total = 0
+    for line, masks in zip(out[1:-1], groups):
+        profile, count = line.removeprefix("profile ").split(": ")
+        ingredients = {ingredient_of(13, positions_of(13, m)) for m in masks.tolist()}
+        assert [str(ing.counts) for ing in ingredients] == [profile]
+        assert count == f"{len(masks) // 2} masks"
+        total += len(masks) // 2
+    assert total == comb(13, 6) == 1716
+
 
 def test_verify_exit_codes(tmp_path, capsys):
     out_dir = tmp_path / "run"
@@ -115,7 +137,7 @@ def test_domain_errors_exit_with_error(capsys):
     assert main(["ingredients", "--t", "5", "--k", "9"]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
 
-    # refused before the ~1.9 GB of mask tables are allocated
+    # refused before the ~1.1 GB of mask tables are allocated
     assert main(["ingredients", "--t", "23", "--k", "1"]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: mask tables are capped at t=21")
 

@@ -298,6 +298,20 @@ def test_parse_errors_carry_line_numbers():
         )
     with pytest.raises(MatrixFormatError, match="line 14"):
         parse_matrix("t=3\n" + good_rows + "\nstray\n")
+    # Lines end at "\n" only; other line breaks are invalid characters.
+    rows = ["+" * 12] * 12
+    for brk in ("\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        bad = rows[:1] + ["+" * 5 + brk + "+" * 7] + rows[2:]
+        with pytest.raises(MatrixFormatError, match="^line 3: invalid characters"):
+            parse_matrix("t=3\n" + "\n".join(bad) + "\n")
+        with pytest.raises(MatrixFormatError, match="^line 1: "):
+            parse_matrix("t=3" + brk + brk.join(rows))
+        with pytest.raises(MatrixFormatError, match="^line 14: trailing content"):
+            parse_matrix("t=3\n" + good_rows + "\n" + brk + "\n")
+    with pytest.raises(MatrixFormatError, match="^line 1: "):
+        parse_matrix("t=3\v" + "\x85".join(rows))
+    with pytest.raises(MatrixFormatError, match="^line 1: expected 't=3'"):
+        parse_matrix("t=3\r\n" + "\r\n".join(rows) + "\r\n")
     # trailing blank lines are tolerated
     t, matrix = parse_matrix("t=3\n" + good_rows + "\n\n")
     assert t == 3 and matrix.shape == (12, 12)

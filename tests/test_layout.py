@@ -1,0 +1,64 @@
+"""Layout guard: every public name in src/cochad is product code.
+
+A public top-level def or class must be used by another statement of
+the package, exported by cochad.__all__, or imported by the acceptance
+gate.  A helper only the other tests read belongs in tests/oracles.py.
+"""
+
+import ast
+from pathlib import Path
+
+import cochad
+
+SRC = Path(cochad.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+# Public names kept although nothing in the package calls them.
+EXEMPT = {
+    "distributions.coboundary_bounds": "the abstract's bounds on the coboundary count",
+    "group.identity": "a group axiom the index arithmetic is tested against",
+    "group.inverse": "a group axiom the index arithmetic is tested against",
+}
+
+
+def _names_used(node):
+    """Names and attributes a statement reads."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def _acceptance_imports():
+    tree = ast.parse(ACCEPTANCE.read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cochad")
+        for alias in node.names
+    }
+
+
+def test_public_names_are_product_code():
+    statements = []  # (module, statement, defined name or None)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defines = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            statements.append((path.stem, node, defines))
+    defined = {f"{module}.{name}" for module, _, name in statements if name}
+    assert set(EXEMPT) <= defined, "an exemption names a definition that is gone"
+    allowed = set(cochad.__all__) | _acceptance_imports()
+    uses = [(node, _names_used(node)) for _, node, _ in statements]
+    stray = []
+    for module, node, name in statements:
+        if name is None or name.startswith("_") or name in allowed:
+            continue
+        if f"{module}.{name}" in EXEMPT:
+            continue
+        if not any(other is not node and name in used for other, used in uses):
+            stray.append(f"{module}.{name}")
+    assert stray == [], f"public names only tests read: {stray}"
+

@@ -7,7 +7,6 @@ import pytest
 import cochad.search
 from cochad.cocyclic import assemble_cocyclic, is_hadamard_direct
 from cochad.distributions import enumerate_distributions
-from cochad.recipes import enumerate_recipes, recipe_of
 from cochad.search import (
     ResourceLimitError,
     brute_force,
@@ -15,6 +14,7 @@ from cochad.search import (
     run_search,
     verify_matrix_file,
 )
+from oracles import enumerate_recipes, recipe_of
 
 # distribution rows frozen as
 # (entries, ingredient counts, recipes, solution recipes, hadamard)
@@ -112,8 +112,8 @@ def test_search_solutions_ascend():
 
 
 def test_join_batches_do_not_change_results(monkeypatch):
-    # A batch size far below the t = 9 group sizes splits groups and
-    # pair products across batches.
+    # A batch size far below the t = 9 group sizes makes every group a
+    # batch of its own.
     default = run_search(9)
     monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
     tiny = run_search(9)
