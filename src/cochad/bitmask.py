@@ -93,6 +93,14 @@ def mask_tables(t: int) -> MaskTables:
     return MaskTables(t)
 
 
+def rotate(t: int, masks, s):
+    """masks rotated left by s positions within t bits, 0 <= s <= t.
+
+    Broadcasts masks against s; position p moves to (p + s) mod t.
+    """
+    return ((masks << s) | (masks >> (t - s))) & ((1 << t) - 1)
+
+
 def join_classes(t: int, row) -> tuple[int, ...]:
     """Sorted indices of four class masks given in CLASS_ORDER.
 

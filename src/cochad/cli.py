@@ -58,10 +58,10 @@ def _cmd_distributions(args: argparse.Namespace) -> int:
 
 def _cmd_ingredients(args: argparse.Namespace) -> int:
     t = args.t
-    side = class_masks(t, args.k, 2)
+    side = class_masks(t, args.k)
     k = min(args.k, t - args.k)
     print(f"t={t} k={k} entry={k * (t - k) // 2}")
-    # Class 2 keeps every mask of sizes k and t - k.  Complements pair them
+    # The catalog holds every mask of sizes k and t - k.  Complements pair them
     # within a profile (t is odd, so the sizes differ): half are of size k.
     profiles = ingredient_counts(mask_tables(t), side.flat[side.starts]).T.tolist()
     for counts, size in zip(profiles, side.sizes.tolist()):

@@ -4,22 +4,50 @@ run_search walks the admissible budget distributions and, within each,
 every distinct assignment of budgets to classes.  The rows congruent
 to 1 see a class mask only through its head profile, so each
 assignment is joined in two steps, on the flat arrays that
-recipes.class_masks keeps per class: masks grouped by profile, and
-each profile's integer code.  First the profiles: the code sums of
+recipes.class_masks keeps per class size: masks grouped by profile,
+and each profile's integer code.  First the profiles: the code sums of
 class pairs (1, 2) are matched against t minus those of (3, 0); each
 match is one recipe, found without touching a single mask.  Then the
 masks: only matched profile pairs are expanded, in batches of whole
 profile groups (see _CHUNK_ROWS), and the two sides meet on one key
 per row, the matched profile group plus the coupling score per shift
-that balances the rows congruent to 2.  Joined candidates then go through
-bitmask.row_test_batch, the one statement of all the row conditions:
-it settles the rows congruent to 3 and 0 and re-checks those congruent
-to 1 and 2 on the few survivors.  The join also counts the report's
-recipe columns: every matched (A profile pair, B profile pair), and
-the distinct ones among its hits.  Its survivors stay (n, 4) mask
-rows until the call that searches a distribution turns them into
-sorted subsets and certifies each by the direct orthogonality test,
-so each --jobs worker returns only what it has certified itself.
+that balances the rows congruent to 2.
+
+The mask rows are keyed on rotation-orbit representatives only.  An A
+row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
+the least rotation of u2's necklace (recipes.necklace_masks), and c a
+mask of class 1's rotation-closed catalog; a B row (u3, u0) of D3 x D0
+likewise by c from class 3's catalog and n from class 0's
+representatives.  Two facts make this exact:
+
+  * Invariance.  Rotating both masks of a pair by the same s rotates
+    every term of pair_ci(u, v, m), a popcount of an intersection of
+    rotations, by s, and a popcount does not see rotation; head
+    profiles are rotation-invariant too.  So a pair's profile group and
+    coupling key, and hence every key match, hold for all its rotations
+    at once.
+  * Bijection.  Each (u1, u2) is rot_s(c, n) for exactly one
+    (c, n, s) with 0 <= s < period(n): n and s are fixed by u2, because
+    the rotations of n below its period are distinct, and then
+    c = rot_-s(u1) is in the catalog, which is closed under rotation.
+    The row is in D1 x D2 exactly when rot_s(c) avoids class 1's
+    forbidden position (class 2 has none); a B row is in D3 x D0 when
+    both masks avoid position t - 1.
+
+So a key match of an A representative and a B representative stands
+for every (valid s) x (valid s') pair of rotated rows, and these
+4-tuples, over all matches, are exactly the pairs of domain rows with
+equal keys: each once.  They are counted as the candidates checked and
+go, in slices, through bitmask.row_test_batch, the one statement of all
+the row conditions: it settles the rows congruent to 3 and 0 and
+re-checks those congruent to 1 and 2 on the few survivors.  The join
+also counts the report's recipe columns: every matched (A profile pair,
+B profile pair), and the distinct ones among its hits; a rotation keeps
+the profiles, so a hit's recipe is its representatives'.  Its survivors
+stay (n, 4) mask rows until the call that searches a distribution
+turns them into sorted subsets and certifies each by the direct
+orthogonality test, so each --jobs worker returns only what it has
+certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
@@ -47,6 +75,7 @@ from .bitmask import (
     join_classes,
     mask_tables,
     pair_ci,
+    rotate,
     row_test_batch,
 )
 from .cocyclic import (
@@ -58,22 +87,24 @@ from .cocyclic import (
 )
 from .distributions import Distribution, entry_class_size, enumerate_distributions
 from .group import GroupContext, validate_t
-from .recipes import ClassMasks, class_masks
+from .recipes import ClassMasks, class_masks, necklace_masks
 
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19; the cap stays at 15 because
-# no larger t has been run to completion.
+# groups and the key fits through t = 19.  The cap stays at 15, the
+# largest t run to completion (~20 s serial); t = 17 has not been run.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
-# many A-side pair rows; a group larger than that is a batch of its own.
-# No group exceeds it at t <= 13; at t = 15 the largest holds 77400.
-# Measured on run_search(13), 2 cores: 2^14 to 2^16 join equally fast,
-# 2^17 and up are slower and 2^13 slower again; peak RSS grows with the
-# batch.
-_CHUNK_ROWS = 1 << 15
+# many A-side representative rows; a group larger than that is a batch
+# of its own (none is at t <= 15, where the largest holds 10320).  The
+# candidates a batch's key matches stand for are row-tested in slices
+# of at most this many.  Measured on run_search(13), 2 cores: 2^13 to
+# 2^17 run within noise of each other (2.0-2.8 s), while peak RSS grows
+# with the size: 59.9, 59.8, 62.9, 69.4 and 85.0 MB.  At t = 15, 2^14
+# took 20.9 s at 69.1 MB and 2^15 21.8 s at 72.9 MB.
+_CHUNK_ROWS = 1 << 14
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
 _BRUTE_LIMIT_BITS = 25
@@ -169,14 +200,14 @@ def _matched_pairs(x: ClassMasks, y: ClassMasks, codes, sums):
 def _pair_rows(x: ClassMasks, y: ClassMasks, px, py, edges, first: int, stop: int):
     """All rows of the products masks(px[p]) x masks(py[p]), first <= p < stop.
 
-    Returns the two mask columns and the pair index of each row.
+    Returns the two mask columns, the period of each y mask and the
+    pair index of each row.
     """
     pair = np.repeat(np.arange(first, stop), np.diff(edges[first : stop + 1]))
     local = np.arange(edges[first], edges[stop], dtype=np.int64) - edges[pair]
     i, j = np.divmod(local, y.sizes[py[pair]])
-    u = x.flat[x.starts[px[pair]] + i]
-    v = y.flat[y.starts[py[pair]] + j]
-    return u, v, pair
+    iy = y.starts[py[pair]] + j
+    return x.flat[x.starts[px[pair]] + i], y.flat[iy], y.periods[iy], pair
 
 
 def _coupling_key(tables, group, u, v, sign: int):
@@ -192,18 +223,44 @@ def _coupling_key(tables, group, u, v, sign: int):
     return key
 
 
-def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0: ClassMasks):
+def _valid_rotations(t: int, xcls: int, ycls: int, x, y, periods):
+    """The rows of two class domains that the rows (x, y) stand for.
+
+    Each y[i] is the least rotation of its necklace, of period
+    periods[i], so rotating (x[i], y[i]) by s = 0 .. periods[i] - 1
+    gives distinct rows; a rotation counts when neither mask then
+    covers its class's forbidden position.  Returns the rotated
+    columns, row-major (the rotations of row i are contiguous, by
+    ascending s), and each row's count and first offset in them.
+    """
+    shifts = np.arange(t)
+    ok = shifts < periods[:, None]
+    for masks, cls in ((x, xcls), (y, ycls)):
+        forb = forbidden_position(cls, t)
+        if forb is not None:
+            # rot_s(mask) covers forb exactly when mask covers forb - s.
+            ok &= (masks[:, None] >> ((forb - shifts) % t)) & 1 == 0
+    row, s = np.nonzero(ok)
+    counts = np.count_nonzero(ok, axis=1)
+    return rotate(t, x[row], s), rotate(t, y[row], s), counts, np.cumsum(counts) - counts
+
+
+def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0: ClassMasks):
     """Mask 4-tuples satisfying all row conditions for one assignment.
 
-    Returns (masks (n, 4), recipe count, solution recipe count,
-    candidates checked).  Profiles are matched first: an A profile pair
-    (classes 1, 2) meets a B pair (classes 3, 0) when its code sum
-    equals t in every digit minus the B pair's codes, and each such
-    meeting is one recipe; the solution recipes are the distinct
-    meetings among the hits.  Only matched pairs are expanded to mask
-    rows, in batches of whole groups holding at most _CHUNK_ROWS A rows
-    (a larger group is a batch of its own), joined on (group, coupling
-    scores) and filtered by row_test_batch.
+    c1 and c3 are the catalogs of classes 1 and 3, n2 and n0 the
+    necklace representatives of classes 2 and 0 (see the module
+    docstring).  Returns (masks (n, 4), recipe count, solution recipe
+    count, candidates checked).  Profiles are matched first: an A
+    profile pair (classes 1, 2) meets a B pair (classes 3, 0) when its
+    code sum equals t in every digit minus the B pair's codes, and each
+    such meeting is one recipe; the solution recipes are the distinct
+    meetings among the hits.  Only matched pairs are expanded to
+    representative rows, in batches of whole groups holding at most
+    _CHUNK_ROWS A rows (a larger group is a batch of its own), and
+    joined on (group, coupling scores).  Each matched (A row, B row)
+    stands for its valid rotations on either side; those candidates
+    go through row_test_batch in slices of at most _CHUNK_ROWS.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -211,11 +268,11 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
     # so a pair's digit sums stay below the base t + 1 and t minus a
     # pair's digits stays positive; no carry or borrow can occur.
     full = (t + 1) ** half - 1
-    acodes = (c1.codes[:, None] + c2.codes[None, :]).ravel()
-    bcodes = (full - c3.codes[:, None] - c0.codes[None, :]).ravel()
+    acodes = (c1.codes[:, None] + n2.codes[None, :]).ravel()
+    bcodes = (full - c3.codes[:, None] - n0.codes[None, :]).ravel()
     sums = np.intersect1d(acodes, bcodes)
-    a1p, a2p, agroup, aedges = _matched_pairs(c1, c2, acodes, sums)
-    b3p, b0p, bgroup, bedges = _matched_pairs(c3, c0, bcodes, sums)
+    a1p, a2p, agroup, aedges = _matched_pairs(c1, n2, acodes, sums)
+    b3p, b0p, bgroup, bedges = _matched_pairs(c3, n0, bcodes, sums)
     recipe_count = int(
         np.dot(np.bincount(agroup, minlength=len(sums)), np.bincount(bgroup, minlength=len(sums)))
     )
@@ -231,11 +288,11 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
     g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
-        u3, u0, bpair = _pair_rows(c3, c0, b3p, b0p, bedges, bpos[g], bpos[h])
+        u3, u0, p0, bpair = _pair_rows(c3, n0, b3p, b0p, bedges, bpos[g], bpos[h])
         bkey = _coupling_key(tables, bgroup[bpair] - g, u3, u0, -1)
         order = np.argsort(bkey)
-        bkey, u3, u0, bpair = bkey[order], u3[order], u0[order], bpair[order]
-        u1, u2, apair = _pair_rows(c1, c2, a1p, a2p, aedges, apos[g], apos[h])
+        bkey, u3, u0, p0, bpair = bkey[order], u3[order], u0[order], p0[order], bpair[order]
+        u1, u2, p2, apair = _pair_rows(c1, n2, a1p, a2p, aedges, apos[g], apos[h])
         akey = _coupling_key(tables, agroup[apair] - g, u1, u2, 1)
         # Sorted probes walk bkey in order, which is several times
         # faster than probing it at random.
@@ -245,17 +302,37 @@ def _join_assignment(t: int, c1: ClassMasks, c2: ClassMasks, c3: ClassMasks, c0:
         cnt = np.searchsorted(bkey, akey, side="right") - first
         nz = np.nonzero(cnt)[0]
         reps = cnt[nz]
-        total = int(reps.sum())
-        checked += total
+        # Key match i joins the A row qa[mi[i]] to the B row bi[mb[i]];
+        # only rows in some match are rotated.
+        qa = aorder[nz]
         offs = np.cumsum(reps) - reps
-        idx = np.repeat(first[nz] - offs, reps) + np.arange(total)
-        qa = aorder[np.repeat(nz, reps)]
-        # Residues 1 and 2 hold by the join; the kernel re-checks them
-        # only on what survives its residue-3 and residue-0 checks.
-        keep = row_test_batch(tables, u1[qa], u2[qa], u3[idx], u0[idx])
-        qa, idx = qa[keep], idx[keep]
-        hits.append(np.stack([u1[qa], u2[qa], u3[idx], u0[idx]], axis=1))
-        hit_recipes.append(apair[qa] * len(b3p) + bpair[idx])
+        mi = np.repeat(np.arange(len(nz)), reps)
+        mb = np.repeat(first[nz] - offs, reps) + np.arange(int(reps.sum()))
+        used = np.zeros(len(u3), dtype=bool)
+        used[mb] = True
+        bi = np.flatnonzero(used)
+        mb = (np.cumsum(used) - 1)[mb]
+        r1, r2, na, oa = _valid_rotations(t, 1, 2, u1[qa], u2[qa], p2[qa])
+        r3, r0, nb, ob = _valid_rotations(t, 3, 0, u3[bi], u0[bi], p0[bi])
+        recipe = apair[qa[mi]] * len(b3p) + bpair[bi[mb]]
+        # Match i stands for na[mi[i]] x nb[mb[i]] candidates, numbered
+        # from ends[i] - weight[i]; they are checked in slices.
+        weight = na[mi] * nb[mb]
+        ends = np.cumsum(weight)
+        total = int(weight.sum())
+        checked += total
+        for lo in range(0, total, _CHUNK_ROWS):
+            pos = np.arange(lo, min(lo + _CHUNK_ROWS, total))
+            i = np.searchsorted(ends, pos, side="right")
+            ja, jb = np.divmod(pos - ends[i] + weight[i], nb[mb[i]])
+            ra = oa[mi[i]] + ja
+            rb = ob[mb[i]] + jb
+            # Residues 1 and 2 hold by the join; the kernel re-checks them
+            # only on what survives its residue-3 and residue-0 checks.
+            keep = row_test_batch(tables, r1[ra], r2[ra], r3[rb], r0[rb])
+            ra, rb = ra[keep], rb[keep]
+            hits.append(np.stack([r1[ra], r2[ra], r3[rb], r0[rb]], axis=1))
+            hit_recipes.append(recipe[i[keep]])
         g = h
     if not hits:
         return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked
@@ -280,16 +357,17 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     Every solution is certified with the direct orthogonality test here,
     so a --jobs worker returns only what it has certified itself.
     """
-    sides = {
-        (entry, cls): class_masks(t, entry_class_size(t, entry), cls)
-        for entry in set(distribution.entries)
-        for cls in CLASS_ORDER
-    }
+    sizes = {entry: entry_class_size(t, entry) for entry in distribution.entries}
     rows = []
     recipe_count = solution_recipe_count = checked = 0
-    for assignment in distribution.assignments():
-        classes = [sides[entry, cls] for entry, cls in zip(assignment, CLASS_ORDER)]
-        masks, n_recipes, n_solution_recipes, n_checked = _join_assignment(t, *classes)
+    for e1, e2, e3, e0 in distribution.assignments():
+        masks, n_recipes, n_solution_recipes, n_checked = _join_assignment(
+            t,
+            class_masks(t, sizes[e1]),
+            necklace_masks(t, sizes[e2]),
+            class_masks(t, sizes[e3]),
+            necklace_masks(t, sizes[e0]),
+        )
         rows.append(masks)
         recipe_count += n_recipes
         # Assignments differ in some class budget, so no recipe repeats
@@ -304,7 +382,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
             raise AssertionError(f"candidate failed certification: {subset}")
     report = DistributionReport(
         distribution=distribution,
-        ingredient_counts=tuple(len(sides[e, 2].codes) for e in distribution.entries),
+        ingredient_counts=tuple(len(class_masks(t, sizes[e]).codes) for e in distribution.entries),
         recipe_count=recipe_count,
         solution_recipe_count=solution_recipe_count,
         solutions=tuple(SolutionRecord(subset) for subset in subsets),

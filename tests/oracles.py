@@ -9,7 +9,9 @@ mask, for m = 1 .. (t - 1) / 2, i.e. the chains the mask contributes to
 the row 4m + 1.  A recipe picks one ingredient per class such that
 every row congruent to 1 collects exactly t heads.  Rotation and
 complementation preserve profiles, so sizes k and t - k realize the
-same ingredients.
+same ingredients.  The module also keeps the class domains, which the
+search never builds: the masks a canonical subset may use in each
+class (class_domain).
 """
 
 from __future__ import annotations
@@ -18,11 +20,30 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
-from cochad.bitmask import CLASS_ORDER, ingredient_counts, join_classes, mask_tables
+from cochad.bitmask import (
+    CLASS_ORDER,
+    forbidden_position,
+    ingredient_counts,
+    join_classes,
+    mask_tables,
+)
 from cochad.cocyclic import CoboundarySubset
 from cochad.distributions import Distribution, entry_class_size
 from cochad.group import GroupContext
 from cochad.recipes import ClassMasks, class_masks
+
+
+def class_domain(t: int, k: int, cls: int) -> ClassMasks:
+    """Masks of k or t - k positions a canonical subset may use in a class.
+
+    class_masks(t, k) minus the masks that cover the class's forbidden
+    position, grouped as there; every profile keeps some rotation.
+    """
+    side = class_masks(t, k)
+    forb = forbidden_position(cls, t)
+    if forb is None:
+        return side
+    return side.select((side.flat >> forb) & 1 == 0)
 
 
 def positions_of(t: int, mask: int) -> list[int]:
@@ -103,7 +124,7 @@ def enumerate_recipes(distribution: Distribution) -> tuple[Recipe, ...]:
     out = []
     for assignment in distribution.assignments():
         ing1, ing2, ing3, ing0 = (
-            profile_ingredients(t, class_masks(t, entry_class_size(t, entry), cls))
+            profile_ingredients(t, class_domain(t, entry_class_size(t, entry), cls))
             for entry, cls in zip(assignment, CLASS_ORDER)
         )
         left: dict[tuple[int, ...], list[tuple[Ingredient, Ingredient]]] = {}
@@ -134,7 +155,7 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
     """All canonical subsets whose classes realize the recipe's profiles.
 
     Each profile is tried at both sizes k and t - k, skipping masks that
-    cover a prohibited index position (see class_masks); results stream
+    cover a prohibited index position (see class_domain); results stream
     in lexicographic mask order and satisfy the rows congruent to 1 by
     construction.
     """
@@ -143,7 +164,7 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
         raise ValueError(f"recipe is for t={recipe.t}, context has t={t}")
     per_class = []
     for cls, ing in zip(CLASS_ORDER, recipe.ingredients):
-        side = class_masks(t, ing.k, cls)
+        side = class_domain(t, ing.k, cls)
         i = profile_ingredients(t, side).index(ing)
         per_class.append(side.flat[side.starts[i] : side.starts[i] + side.sizes[i]].tolist())
     for row in product(*per_class):

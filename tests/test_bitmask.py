@@ -14,6 +14,7 @@ from cochad.bitmask import (
     join_classes,
     mask_tables,
     pair_ci,
+    rotate,
     row_test_batch,
 )
 from cochad.cocyclic import (
@@ -42,6 +43,16 @@ def test_mask_round_trip():
         for _ in range(50):
             mask = int(rng.integers(0, 1 << t))
             assert mask_of(_posset(mask, t)) == mask
+
+
+def test_rotate_against_set_oracle():
+    rng = np.random.default_rng(17)
+    for t in (3, 7, 13):
+        masks = rng.integers(0, 1 << t, size=40)
+        shifts = np.arange(t + 1)
+        rows = rotate(t, masks[:, None], shifts).tolist()
+        for mask, row in zip(masks.tolist(), rows):
+            assert row == [mask_of(_shift(_posset(mask, t), s, t)) for s in shifts.tolist()]
 
 
 def test_forbidden_positions():

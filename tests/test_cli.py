@@ -82,7 +82,7 @@ def test_ingredients_output(capsys):
     assert code == EXIT_OK
     assert out[0] == "t=13 k=6 entry=21"
     assert out[-1] == "profiles: 74"
-    side = class_masks(13, 6, 2)
+    side = class_masks(13, 6)
     groups = np.split(side.flat, side.starts[1:])
     assert len(out) == len(groups) + 2
     total = 0

@@ -5,14 +5,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from cochad.bitmask import CLASS_ORDER, forbidden_position
+from cochad.bitmask import CLASS_ORDER, forbidden_position, rotate
 from cochad.cocyclic import CoboundarySubset
 from cochad.distributions import enumerate_distributions
 from cochad.group import GroupContext
 from cochad.paths import check_residue_one_rows, is_hadamard_paths, row_adjacency
-from cochad.recipes import class_masks
+from cochad.recipes import class_masks, necklace_masks
 from oracles import (
     Ingredient,
+    class_domain,
     enumerate_recipes,
     expand_recipe,
     ingredient_of,
@@ -78,7 +79,7 @@ def _class_mask_groups(side):
 
 
 def test_enumerate_ingredients_small_catalog():
-    side = class_masks(5, 2, 2)
+    side = class_masks(5, 2)
     ingredients = profile_ingredients(5, side)
     assert ingredients == [Ingredient((1, 2), 2), Ingredient((2, 1), 2)]
     for ing, masks in zip(ingredients, _class_mask_groups(side)):
@@ -88,22 +89,24 @@ def test_enumerate_ingredients_small_catalog():
 
 
 def test_enumerate_ingredients_representative_size():
-    # sizes k and t - k give one catalog, recorded at the smaller size
+    # sizes k and t - k give one catalog, recorded at the smaller size;
+    # class 2 has no forbidden position, so its domain is the catalog
+    assert class_domain(5, 2, 2) is class_masks(5, 2)
     for cls in CLASS_ORDER:
-        low, high = class_masks(5, 2, cls), class_masks(5, 3, cls)
+        low, high = class_domain(5, 2, cls), class_domain(5, 3, cls)
         assert profile_ingredients(5, high) == profile_ingredients(5, low)
         assert all(ing.k == 2 for ing in profile_ingredients(5, high))
-        for name in ("codes", "sizes", "starts", "flat"):
+        for name in ("codes", "sizes", "starts", "flat", "periods"):
             assert np.array_equal(getattr(high, name), getattr(low, name)), name
     for k in (6, -1):
         with pytest.raises(ValueError):
-            class_masks(5, k, 2)
+            class_masks(5, k)
 
 
 def test_enumerate_ingredients_mask_conservation():
-    # class 2 has no forbidden position, so it keeps every mask of both sizes
+    # the catalog knows no class, so it keeps every mask of both sizes
     for t, k in ((5, 2), (7, 3), (9, 4), (11, 3)):
-        side = class_masks(t, k, 2)
+        side = class_masks(t, k)
         assert len(set(side.flat.tolist())) == len(side.flat) == 2 * comb(t, k)
         assert side.sizes.sum() == len(side.flat)
         assert side.starts.tolist() == (np.cumsum(side.sizes) - side.sizes).tolist()
@@ -113,7 +116,7 @@ def test_enumerate_ingredients_frozen_counts():
     # catalog sizes behind the t = 13 distributions, the same in every class
     for k, count in ((6, 74), (5, 57), (4, 34), (3, 14)):
         for cls in CLASS_ORDER:
-            side = class_masks(13, k, cls)
+            side = class_domain(13, k, cls)
             assert len(side.codes) == len(set(profile_ingredients(13, side))) == count
 
 
@@ -123,11 +126,11 @@ def test_class_masks_sizes_and_avoidance():
             for k in range(t + 1):
                 _check_class_masks(t, k, cls)
     with pytest.raises(ValueError):
-        class_masks(5, 6, 2)
+        class_masks(5, 6)
 
 
 def _check_class_masks(t, k, cls):
-    side = class_masks(t, k, cls)
+    side = class_domain(t, k, cls)
     avoid = forbidden_position(cls, t)
     sizes = {k, t - k}
     # every admissible mask, grouped by its profile from ingredient_of
@@ -148,11 +151,37 @@ def _check_class_masks(t, k, cls):
 
 
 def test_class_masks_sorted():
-    side = class_masks(7, 3, 1)
-    for masks in _class_mask_groups(side):
-        assert masks.tolist() == sorted(set(masks.tolist()))
-    with pytest.raises(ValueError):
-        side.flat[0] = 0  # the cached arrays are shared, so read-only
+    for side in (class_domain(7, 3, 1), necklace_masks(7, 3)):
+        for masks in _class_mask_groups(side):
+            assert masks.tolist() == sorted(set(masks.tolist()))
+    for side in (class_masks(7, 3), necklace_masks(7, 3)):
+        for name in ("codes", "sizes", "starts", "flat", "periods"):
+            with pytest.raises(ValueError):
+                getattr(side, name)[0] = 0  # the cached arrays are shared, so read-only
+
+
+def test_necklace_masks_are_least_rotations():
+    for t in range(3, 12, 2):
+        for k in range(t // 2 + 1):
+            side, reps = class_masks(t, k), necklace_masks(t, k)
+            assert reps.codes is side.codes
+            for x, period in zip(side.flat.tolist(), side.periods.tolist()):
+                assert period == len({rotate(t, x, s) for s in range(t)})
+            rep_periods = np.split(reps.periods, reps.starts[1:])
+            groups = zip(_class_mask_groups(side), _class_mask_groups(reps), rep_periods)
+            for masks, group_reps, periods in groups:
+                # every mask of a group is rot_s(n) for exactly one of its
+                # representatives n and one s below n's period
+                rotated = [
+                    rotate(t, n, s)
+                    for n, period in zip(group_reps.tolist(), periods.tolist())
+                    for s in range(period)
+                ]
+                assert sorted(rotated) == masks.tolist()
+                for n in group_reps.tolist():
+                    assert n == min(rotate(t, n, s) for s in range(t))
+    # t = 9 has necklaces of period 3 besides the constant ones
+    assert set(necklace_masks(9, 3).periods.tolist()) == {3, 9}
 
 
 def test_enumerate_recipes_frozen_counts():

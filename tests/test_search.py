@@ -1,12 +1,16 @@
 """Pruned search, brute-force scan, certification, and export."""
 
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cochad.search
+from cochad.bitmask import rotate
 from cochad.cocyclic import assemble_cocyclic, is_hadamard_direct
 from cochad.distributions import enumerate_distributions
+from cochad.recipes import class_masks, necklace_masks
 from cochad.search import (
     ResourceLimitError,
     brute_force,
@@ -14,7 +18,7 @@ from cochad.search import (
     run_search,
     verify_matrix_file,
 )
-from oracles import enumerate_recipes, recipe_of
+from oracles import class_domain, enumerate_recipes, recipe_of
 
 # distribution rows frozen as
 # (entries, ingredient counts, recipes, solution recipes, hadamard)
@@ -111,14 +115,76 @@ def test_search_solutions_ascend():
             assert len(set(indices)) == len(indices)
 
 
+def test_candidates_checked_frozen():
+    # Every candidate the join hands the row test; 72, 1400 and 130248
+    # (t = 3, 5, 9) are pinned beside brute force and the batch test.
+    for t, candidates in ((7, 11368), (11, 619520)):
+        assert run_search(t).candidates_checked == candidates
+
+
+@pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
+def test_rotations_of_representatives_are_the_class_domains(t):
+    # The join keys (c, n) with n a necklace representative and expands
+    # each match by its valid rotations.  Over every pair of class sizes
+    # (k and t - k share a catalog), those rotations must give each row
+    # of the two class domains exactly once.
+    sizes = range(t // 2 + 1)
+    for (xcls, ycls), kx, ky in product(((1, 2), (3, 0)), sizes, sizes):
+        c, n = class_masks(t, kx).flat, necklace_masks(t, ky)
+        x = np.repeat(c, len(n.flat))
+        y = np.tile(n.flat, len(c))
+        u, v, counts, offsets = cochad.search._valid_rotations(
+            t, xcls, ycls, x, y, np.tile(n.periods, len(c))
+        )
+        dx = np.sort(class_domain(t, kx, xcls).flat)
+        dy = np.sort(class_domain(t, ky, ycls).flat)
+        # want ascends strictly, so equal sorted arrays also rule out repeats
+        want = ((dx[:, None] << t) | dy[None, :]).ravel()
+        assert np.array_equal(np.sort((u << t) | v), want)
+        # row i's block holds rotations of (x[i], y[i]) by one shared s
+        assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
+        row = np.repeat(np.arange(len(x)), counts)
+        xr, yr = x[row], y[row]
+        same = np.zeros(len(u), dtype=bool)
+        for s in range(t):
+            same |= (rotate(t, xr, s) == u) & (rotate(t, yr, s) == v)
+        assert same.all()
+    if t == 9:
+        assert any(((p > 1) & (p < t)).any() for p in (necklace_masks(t, k).periods for k in sizes))
+
+
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch size far below the t = 9 group sizes makes every group a
-    # batch of its own.
+    # batch of its own, and the candidates of a batch's key matches are
+    # row-tested in slices of at most that size.
     default = run_search(9)
+    events = []
+    real_key, real_test = cochad.search._coupling_key, cochad.search.row_test_batch
+
+    def coupling_key(tables, group, u, v, sign):
+        events.append("key")
+        return real_key(tables, group, u, v, sign)
+
+    def row_test_batch(tables, *cols):
+        events.append(len(cols[0]))
+        return real_test(tables, *cols)
+
     monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
+    monkeypatch.setattr(cochad.search, "_coupling_key", coupling_key)
+    monkeypatch.setattr(cochad.search, "row_test_batch", row_test_batch)
     tiny = run_search(9)
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
+    # two keys start a batch; the sizes after them are its slices
+    slices = [[]]
+    for event in events:
+        if event == "key":
+            slices.append([])
+        else:
+            slices[-1].append(event)
+    assert max(map(len, slices)) > 1
+    assert max(map(max, filter(None, slices))) <= 97
+    assert sum(map(sum, slices)) == 130248
 
 
 class _RecordingExecutor:
