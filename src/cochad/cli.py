@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from .bitmask import ingredient_counts, mask_tables
-from .distributions import enumerate_distributions
+from .distributions import class_budget, enumerate_distributions
 from .recipes import class_masks
 from .search import (
     ResourceLimitError,
@@ -60,7 +60,7 @@ def _cmd_ingredients(args: argparse.Namespace) -> int:
     t = args.t
     side = class_masks(t, args.k)
     k = min(args.k, t - args.k)
-    print(f"t={t} k={k} entry={k * (t - k) // 2}")
+    print(f"t={t} k={k} entry={class_budget(t, k)}")
     # The catalog holds every mask of sizes k and t - k.  Complements pair them
     # within a profile (t is odd, so the sizes differ): half are of size k.
     profiles = ingredient_counts(mask_tables(t), side.flat[side.starts]).T.tolist()

@@ -30,8 +30,13 @@ def is_triangular(x: int) -> tuple[bool, int | None]:
     return False, None
 
 
+def class_budget(t: int, k: int) -> int:
+    """Chain heads a class of k positions gives the rows congruent to 1."""
+    return k * (t - k) // 2
+
+
 def entry_class_size(t: int, entry: int) -> int:
-    """Smaller class size k with k (t - k) / 2 = entry; the other is t - k."""
+    """Smaller class size k with class_budget(t, k) = entry; the other is t - k."""
     validate_t(t)
     square = t * t - 8 * entry
     if square < 0 or isqrt(square) ** 2 != square:

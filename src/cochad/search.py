@@ -18,7 +18,7 @@ row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
 the least rotation of u2's necklace (recipes.necklace_masks), and c a
 mask of class 1's rotation-closed catalog; a B row (u3, u0) of D3 x D0
 likewise by c from class 3's catalog and n from class 0's
-representatives.  Two facts make this exact:
+representatives.  Three facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
     every term of pair_ci(u, v, m), a popcount of an intersection of
@@ -33,21 +33,27 @@ representatives.  Two facts make this exact:
     The row is in D1 x D2 exactly when rot_s(c) avoids class 1's
     forbidden position (class 2 has none); a B row is in D3 x D0 when
     both masks avoid position t - 1.
+  * Relative shift.  The row test sees the four masks only through
+    such popcounts and the head profiles, so rotating all four together
+    keeps its verdict: (rot_s A, rot_s' B) passes exactly when
+    (A, rot_{s'-s} B) does.
 
 So a key match of an A representative and a B representative stands
 for every (valid s) x (valid s') pair of rotated rows, and these
 4-tuples, over all matches, are exactly the pairs of domain rows with
-equal keys: each once.  They are counted as the candidates checked and
-go, in slices, through bitmask.row_test_batch, the one statement of all
-the row conditions: it settles the rows congruent to 3 and 0 and
-re-checks those congruent to 1 and 2 on the few survivors.  The join
-also counts the report's recipe columns: every matched (A profile pair,
-B profile pair), and the distinct ones among its hits; a rotation keeps
-the profiles, so a hit's recipe is its representatives'.  Its survivors
-stay (n, 4) mask rows until the call that searches a distribution
-turns them into sorted subsets and certifies each by the direct
-orthogonality test, so each --jobs worker returns only what it has
-certified itself.
+equal keys: each once.  They are counted as the candidates checked,
+but by the third fact each match goes through bitmask.row_test_batch
+only once per relative shift d = 0 .. t - 1, and a passing d gives the
+hits (rot_s A, rot_{s+d} B) over the s valid on both sides.
+row_test_batch is the one statement of all the row conditions: it
+settles the rows congruent to 3 and 0 and re-checks those congruent to
+1 and 2 on the few survivors.  The join also counts the report's
+recipe columns: every matched (A profile pair, B profile pair), and the
+distinct ones among its hits; a rotation keeps the profiles, so a hit's
+recipe is its representatives'.  Its hits stay (n, 4) mask rows until
+the call that searches a distribution turns them into sorted subsets
+and certifies each by the direct orthogonality test, so each --jobs
+worker returns only what it has certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
@@ -85,7 +91,7 @@ from .cocyclic import (
     is_hadamard_direct,
     parse_matrix,
 )
-from .distributions import Distribution, entry_class_size, enumerate_distributions
+from .distributions import Distribution, class_budget, entry_class_size, enumerate_distributions
 from .group import GroupContext, validate_t
 from .recipes import ClassMasks, class_masks, necklace_masks
 
@@ -98,12 +104,12 @@ _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
 # many A-side representative rows; a group larger than that is a batch
-# of its own (none is at t <= 15, where the largest holds 10320).  The
-# candidates a batch's key matches stand for are row-tested in slices
-# of at most this many.  Measured on run_search(13), 2 cores: 2^13 to
-# 2^17 run within noise of each other (2.0-2.8 s), while peak RSS grows
-# with the size: 59.9, 59.8, 62.9, 69.4 and 85.0 MB.  At t = 15, 2^14
-# took 20.9 s at 69.1 MB and 2^15 21.8 s at 72.9 MB.
+# of its own (none is at t <= 15, where the largest holds 10320).  Each
+# batch makes one row_test_batch call of t rows per key match: the
+# largest holds 106496 rows at t = 13 and 26880 at t = 15.  Measured on
+# run_search(13), 2 cores: 2^13 to 2^17 run within noise of each other
+# (1.9-2.3 s), while peak RSS grows with the size: 59.3, 59.3, 64.1,
+# 70.2 and 79.5 MB.
 _CHUNK_ROWS = 1 << 14
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
@@ -174,8 +180,8 @@ class BruteForceReport:
         """Solution counts keyed by descending budget entries."""
         out: dict[tuple[int, int, int, int], int] = {}
         for subset in self.solutions:
-            sizes = (len(subset.residue_class(cls)) for cls in (1, 2, 3, 0))
-            entries = tuple(sorted((k * (self.t - k) // 2 for k in sizes), reverse=True))
+            sizes = (len(subset.residue_class(cls)) for cls in CLASS_ORDER)
+            entries = tuple(sorted((class_budget(self.t, k) for k in sizes), reverse=True))
             out[entries] = out.get(entries, 0) + 1
         return out
 
@@ -223,15 +229,14 @@ def _coupling_key(tables, group, u, v, sign: int):
     return key
 
 
-def _valid_rotations(t: int, xcls: int, ycls: int, x, y, periods):
-    """The rows of two class domains that the rows (x, y) stand for.
+def _valid_shifts(t: int, xcls: int, ycls: int, x, y, periods):
+    """Which rotations of the rows (x, y) are rows of two class domains.
 
     Each y[i] is the least rotation of its necklace, of period
     periods[i], so rotating (x[i], y[i]) by s = 0 .. periods[i] - 1
-    gives distinct rows; a rotation counts when neither mask then
-    covers its class's forbidden position.  Returns the rotated
-    columns, row-major (the rotations of row i are contiguous, by
-    ascending s), and each row's count and first offset in them.
+    gives distinct rows.  Entry [i, s] of the (n, t) result is true when
+    s is below the period and neither rotated mask covers its class's
+    forbidden position.
     """
     shifts = np.arange(t)
     ok = shifts < periods[:, None]
@@ -240,9 +245,7 @@ def _valid_rotations(t: int, xcls: int, ycls: int, x, y, periods):
         if forb is not None:
             # rot_s(mask) covers forb exactly when mask covers forb - s.
             ok &= (masks[:, None] >> ((forb - shifts) % t)) & 1 == 0
-    row, s = np.nonzero(ok)
-    counts = np.count_nonzero(ok, axis=1)
-    return rotate(t, x[row], s), rotate(t, y[row], s), counts, np.cumsum(counts) - counts
+    return ok
 
 
 def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0: ClassMasks):
@@ -259,8 +262,11 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     representative rows, in batches of whole groups holding at most
     _CHUNK_ROWS A rows (a larger group is a batch of its own), and
     joined on (group, coupling scores).  Each matched (A row, B row)
-    stands for its valid rotations on either side; those candidates
-    go through row_test_batch in slices of at most _CHUNK_ROWS.
+    stands for its valid rotations on either side, the candidates it
+    counts.  One row_test_batch call per batch tests every match
+    against each rotation d of its B row, and each passing (match, d)
+    gives the hits rotated by s and s + d over the s valid on both
+    sides.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -282,6 +288,7 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     bpos = np.searchsorted(bgroup, bounds)
     arow = aedges[apos]
 
+    shifts = np.arange(t)
     hits = []
     hit_recipes = []
     checked = 0
@@ -302,37 +309,24 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
         cnt = np.searchsorted(bkey, akey, side="right") - first
         nz = np.nonzero(cnt)[0]
         reps = cnt[nz]
-        # Key match i joins the A row qa[mi[i]] to the B row bi[mb[i]];
-        # only rows in some match are rotated.
-        qa = aorder[nz]
-        offs = np.cumsum(reps) - reps
-        mi = np.repeat(np.arange(len(nz)), reps)
-        mb = np.repeat(first[nz] - offs, reps) + np.arange(int(reps.sum()))
-        used = np.zeros(len(u3), dtype=bool)
-        used[mb] = True
-        bi = np.flatnonzero(used)
-        mb = (np.cumsum(used) - 1)[mb]
-        r1, r2, na, oa = _valid_rotations(t, 1, 2, u1[qa], u2[qa], p2[qa])
-        r3, r0, nb, ob = _valid_rotations(t, 3, 0, u3[bi], u0[bi], p0[bi])
-        recipe = apair[qa[mi]] * len(b3p) + bpair[bi[mb]]
-        # Match i stands for na[mi[i]] x nb[mb[i]] candidates, numbered
-        # from ends[i] - weight[i]; they are checked in slices.
-        weight = na[mi] * nb[mb]
-        ends = np.cumsum(weight)
-        total = int(weight.sum())
-        checked += total
-        for lo in range(0, total, _CHUNK_ROWS):
-            pos = np.arange(lo, min(lo + _CHUNK_ROWS, total))
-            i = np.searchsorted(ends, pos, side="right")
-            ja, jb = np.divmod(pos - ends[i] + weight[i], nb[mb[i]])
-            ra = oa[mi[i]] + ja
-            rb = ob[mb[i]] + jb
-            # Residues 1 and 2 hold by the join; the kernel re-checks them
-            # only on what survives its residue-3 and residue-0 checks.
-            keep = row_test_batch(tables, r1[ra], r2[ra], r3[rb], r0[rb])
-            ra, rb = ra[keep], rb[keep]
-            hits.append(np.stack([r1[ra], r2[ra], r3[rb], r0[rb]], axis=1))
-            hit_recipes.append(recipe[i[keep]])
+        # Key match i joins the A row ia[i] to the B row ib[i].
+        ia = np.repeat(aorder[nz], reps)
+        ib = np.repeat(first[nz] - np.cumsum(reps) + reps, reps) + np.arange(len(ia))
+        va = _valid_shifts(t, 1, 2, u1[ia], u2[ia], p2[ia])
+        vb = _valid_shifts(t, 3, 0, u3[ib], u0[ib], p0[ib])
+        checked += int(np.count_nonzero(va, axis=1) @ np.count_nonzero(vb, axis=1))
+        # (rot_s A, rot_s+d B) passes exactly when (A, rot_d B) does, so
+        # each match is tested once per relative shift d.  Residues 1 and
+        # 2 hold by the join; the kernel re-checks them only on what
+        # survives its residue-3 and residue-0 checks.
+        rb3, rb0 = rotate(t, u3[ib, None], shifts), rotate(t, u0[ib, None], shifts)
+        i, d = np.nonzero(row_test_batch(tables, u1[ia, None], u2[ia, None], rb3, rb0))
+        # A passing (i, d) is a hit for every s valid on both sides.
+        j, s = np.nonzero(va[i] & vb[i[:, None], (shifts + d[:, None]) % t])
+        qa, qb, sb = ia[i[j]], ib[i[j]], (s + d[j]) % t
+        rows = np.stack([u1[qa], u2[qa], u3[qb], u0[qb]], axis=1)
+        hits.append(rotate(t, rows, np.stack([s, s, sb, sb], axis=1)))
+        hit_recipes.append(apair[qa] * len(b3p) + bpair[qb])
         g = h
     if not hits:
         return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked

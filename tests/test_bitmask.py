@@ -187,6 +187,26 @@ def test_row_test_batch_matches_direct():
     assert hadamard == 24 + 120
 
 
+def test_row_test_batch_is_rotation_invariant():
+    # Rotating all four class masks by one s rotates every term of every
+    # row check, so the verdict stands; the search's join tests a key
+    # match once per relative shift on this.  The t = 5 solutions and
+    # the t = 7 near misses make both verdicts occur.
+    rng = np.random.default_rng(43)
+    cases = {t: rng.integers(0, 1 << t, size=(200, 4)) for t in range(3, 15, 2)}
+    solutions = [split_classes(5, subset.indices) for subset in brute_force(5).solutions]
+    cases[5] = np.vstack([cases[5], [[m[cls] for cls in CLASS_ORDER] for m in solutions]])
+    cases[7] = np.vstack([cases[7], _NEAR_MISSES_T7])
+    verdicts = set()
+    for t, rows in cases.items():
+        tables = mask_tables(t)
+        want = row_test_batch(tables, *rows.T)
+        verdicts.update(want.tolist())
+        for s in range(1, t):
+            assert np.array_equal(row_test_batch(tables, *rotate(t, rows, s).T), want)
+    assert verdicts == {True, False}
+
+
 @lru_cache(maxsize=None)
 def _solution_indices(t):
     return tuple(rec.subset.sorted_indices() for rec in run_search(t).solutions())

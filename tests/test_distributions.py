@@ -6,6 +6,7 @@ import pytest
 
 from cochad.distributions import (
     Distribution,
+    class_budget,
     coboundary_bounds,
     entry_class_size,
     enumerate_distributions,
@@ -48,9 +49,12 @@ def test_entry_class_size():
     assert entry_class_size(3, 0) == 0
     assert entry_class_size(13, 21) == 6
     assert entry_class_size(13, 15) == 3
-    for t in (3, 5, 7, 9, 11, 13):
-        for k in range((t + 1) // 2):
-            assert entry_class_size(t, k * (t - k) // 2) == k
+    # class_budget is the forward map; sizes k and t - k share a budget,
+    # and entry_class_size names the smaller.
+    for t in range(3, 27, 2):
+        for k in range(t + 1):
+            assert class_budget(t, k) == class_budget(t, t - k)
+            assert entry_class_size(t, class_budget(t, k)) == min(k, t - k)
     with pytest.raises(ValueError):
         entry_class_size(5, 4)
 

@@ -116,7 +116,7 @@ def test_search_solutions_ascend():
 
 
 def test_candidates_checked_frozen():
-    # Every candidate the join hands the row test; 72, 1400 and 130248
+    # Every candidate the join's key matches stand for; 72, 1400 and 130248
     # (t = 3, 5, 9) are pinned beside brute force and the batch test.
     for t, candidates in ((7, 11368), (11, 619520)):
         assert run_search(t).candidates_checked == candidates
@@ -124,49 +124,46 @@ def test_candidates_checked_frozen():
 
 @pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
 def test_rotations_of_representatives_are_the_class_domains(t):
-    # The join keys (c, n) with n a necklace representative and expands
-    # each match by its valid rotations.  Over every pair of class sizes
-    # (k and t - k share a catalog), those rotations must give each row
-    # of the two class domains exactly once.
+    # The join keys (c, n) with n a necklace representative; a match
+    # stands for the rotations its validity grid marks.  Over every pair
+    # of class sizes (k and t - k share a catalog), those rotations must
+    # give each row of the two class domains exactly once.
     sizes = range(t // 2 + 1)
     for (xcls, ycls), kx, ky in product(((1, 2), (3, 0)), sizes, sizes):
         c, n = class_masks(t, kx).flat, necklace_masks(t, ky)
         x = np.repeat(c, len(n.flat))
         y = np.tile(n.flat, len(c))
-        u, v, counts, offsets = cochad.search._valid_rotations(
-            t, xcls, ycls, x, y, np.tile(n.periods, len(c))
-        )
+        grid = cochad.search._valid_shifts(t, xcls, ycls, x, y, np.tile(n.periods, len(c)))
+        assert grid.shape == (len(x), t)
+        i, s = np.nonzero(grid)
+        u, v = rotate(t, x[i], s), rotate(t, y[i], s)
         dx = np.sort(class_domain(t, kx, xcls).flat)
         dy = np.sort(class_domain(t, ky, ycls).flat)
         # want ascends strictly, so equal sorted arrays also rule out repeats
         want = ((dx[:, None] << t) | dy[None, :]).ravel()
         assert np.array_equal(np.sort((u << t) | v), want)
-        # row i's block holds rotations of (x[i], y[i]) by one shared s
-        assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
-        row = np.repeat(np.arange(len(x)), counts)
-        xr, yr = x[row], y[row]
-        same = np.zeros(len(u), dtype=bool)
-        for s in range(t):
-            same |= (rotate(t, xr, s) == u) & (rotate(t, yr, s) == v)
-        assert same.all()
     if t == 9:
         assert any(((p > 1) & (p < t)).any() for p in (necklace_masks(t, k).periods for k in sizes))
 
 
 def test_join_batches_do_not_change_results(monkeypatch):
-    # A batch size far below the t = 9 group sizes makes every group a
-    # batch of its own, and the candidates of a batch's key matches are
-    # row-tested in slices of at most that size.
+    # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
+    # or one larger group; at 97 most t = 9 groups are batches of their
+    # own.  A batch's row test takes each key match once per relative
+    # shift, t rows per match.
     default = run_search(9)
     events = []
+    batches = []  # (groups, A rows) of each batch
     real_key, real_test = cochad.search._coupling_key, cochad.search.row_test_batch
 
     def coupling_key(tables, group, u, v, sign):
         events.append("key")
+        if sign == 1:
+            batches.append((len(np.unique(group)), len(u)))
         return real_key(tables, group, u, v, sign)
 
     def row_test_batch(tables, *cols):
-        events.append(len(cols[0]))
+        events.append(np.broadcast(*cols).size)
         return real_test(tables, *cols)
 
     monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
@@ -175,16 +172,13 @@ def test_join_batches_do_not_change_results(monkeypatch):
     tiny = run_search(9)
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
-    # two keys start a batch; the sizes after them are its slices
-    slices = [[]]
-    for event in events:
-        if event == "key":
-            slices.append([])
-        else:
-            slices[-1].append(event)
-    assert max(map(len, slices)) > 1
-    assert max(map(max, filter(None, slices))) <= 97
-    assert sum(map(sum, slices)) == 130248
+    # Each batch keys its B rows, then its A rows, then makes one row test.
+    sizes = events[2::3]
+    assert len(sizes) > 1 and events[0::3] == events[1::3] == ["key"] * len(sizes)
+    assert all(groups == 1 or rows <= 97 for groups, rows in batches)
+    assert sum(groups == 1 and rows > 97 for groups, rows in batches) > len(batches) // 2
+    assert all(size % 9 == 0 for size in sizes)
+    assert sum(sizes) == 9 * 14016
 
 
 class _RecordingExecutor:
