@@ -78,14 +78,13 @@ class MaskTables:
         self.t = t
         self.half = (t - 1) // 2
         size = 1 << t
-        self.full = size - 1
         xs = np.arange(size, dtype=np.int64)
         self.pc = np.bitwise_count(xs).astype(np.int16)
         self.rot = np.zeros((self.half + 1, size), dtype=np.int64)
         self.runs = np.zeros((self.half + 1, size), dtype=np.int16)
         for m in range(1, self.half + 1):
-            self.rot[m] = ((xs << m) | (xs >> (t - m))) & self.full
-            self.runs[m] = self.pc[xs & ~self.rot[m] & self.full]
+            self.rot[m] = rotate(t, xs, m)
+            self.runs[m] = self.pc[xs & ~self.rot[m]]
 
 
 @lru_cache(maxsize=None)

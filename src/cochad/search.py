@@ -26,25 +26,27 @@ representatives.  Three facts make this exact:
     profiles are rotation-invariant too.  So a pair's profile group and
     coupling key, and hence every key match, hold for all its rotations
     at once.
-  * Bijection.  Each (u1, u2) is rot_s(c, n) for exactly one
-    (c, n, s) with 0 <= s < period(n): n and s are fixed by u2, because
+  * Bijection.  Each (u1, u2) is rot_-r(c, n) for exactly one
+    (c, n, r) with 0 <= r < period(n): n and r are fixed by u2, because
     the rotations of n below its period are distinct, and then
-    c = rot_-s(u1) is in the catalog, which is closed under rotation.
-    The row is in D1 x D2 exactly when rot_s(c) avoids class 1's
-    forbidden position (class 2 has none); a B row is in D3 x D0 when
-    both masks avoid position t - 1.
+    c = rot_r(u1) is in the catalog, which is closed under rotation.
+    The row is in D1 x D2 exactly when rot_-r(c) avoids class 1's
+    forbidden position f (class 2 has none), that is when bit r of
+    rot_-f(c) is clear; a B row is in D3 x D0 when rot_-r(c | n)
+    avoids t - 1.  So the valid r of each side form one t-bit set.
   * Relative shift.  The row test sees the four masks only through
     such popcounts and the head profiles, so rotating all four together
-    keeps its verdict: (rot_s A, rot_s' B) passes exactly when
-    (A, rot_{s'-s} B) does.
+    keeps its verdict: (rot_-r A, rot_-r' B) passes exactly when
+    (A, rot_d B) does, d = r - r'.
 
 So a key match of an A representative and a B representative stands
-for every (valid s) x (valid s') pair of rotated rows, and these
+for every (valid r) x (valid r') pair of rotated rows, and these
 4-tuples, over all matches, are exactly the pairs of domain rows with
 equal keys: each once.  They are counted as the candidates checked,
 but by the third fact each match goes through bitmask.row_test_batch
-only once per relative shift d = 0 .. t - 1, and a passing d gives the
-hits (rot_s A, rot_{s+d} B) over the s valid on both sides.
+only once per relative shift d that stands for a candidate, that is
+when the A set meets the B set rotated by d.  A passing d gives the
+hits (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
 row_test_batch is the one statement of all the row conditions: it
 settles the rows congruent to 3 and 0 and re-checks those congruent to
 1 and 2 on the few survivors.  The join also counts the report's
@@ -105,11 +107,11 @@ _JOIN_LIMIT_T = 15
 # A join batch is a run of whole profile groups holding at most this
 # many A-side representative rows; a group larger than that is a batch
 # of its own (none is at t <= 15, where the largest holds 10320).  Each
-# batch makes one row_test_batch call of t rows per key match: the
-# largest holds 106496 rows at t = 13 and 26880 at t = 15.  Measured on
-# run_search(13), 2 cores: 2^13 to 2^17 run within noise of each other
-# (1.9-2.3 s), while peak RSS grows with the size: 59.3, 59.3, 64.1,
-# 70.2 and 79.5 MB.
+# batch makes one row_test_batch call of at most t rows per key match:
+# the largest holds 90428 rows at t = 13 and 24874 at t = 15.  Measured
+# on run_search(13), 2 cores: 2^13 to 2^17 run within noise of each
+# other (2.0-2.5 s), while peak RSS grows with the size: 60.0, 62.1,
+# 67.7, 74.8 and 84.8 MB.
 _CHUNK_ROWS = 1 << 14
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
@@ -229,23 +231,16 @@ def _coupling_key(tables, group, u, v, sign: int):
     return key
 
 
-def _valid_shifts(t: int, xcls: int, ycls: int, x, y, periods):
-    """Which rotations of the rows (x, y) are rows of two class domains.
+def _valid_shifts(t: int, forb: int, masks, periods):
+    """The rotations rot_-r of a side's rows that stay in its class domains.
 
-    Each y[i] is the least rotation of its necklace, of period
-    periods[i], so rotating (x[i], y[i]) by s = 0 .. periods[i] - 1
-    gives distinct rows.  Entry [i, s] of the (n, t) result is true when
-    s is below the period and neither rotated mask covers its class's
-    forbidden position.
+    Each row's necklace mask has period periods[i], so the r below it
+    give distinct rows; masks[i] is the union of the row's masks that
+    must avoid position forb.  Bit r of the t-bit result is set when r is
+    below the period and rot_-r(masks[i]) avoids forb: rot_-r(x) covers
+    forb exactly when bit r of rot_-forb(x) is set.
     """
-    shifts = np.arange(t)
-    ok = shifts < periods[:, None]
-    for masks, cls in ((x, xcls), (y, ycls)):
-        forb = forbidden_position(cls, t)
-        if forb is not None:
-            # rot_s(mask) covers forb exactly when mask covers forb - s.
-            ok &= (masks[:, None] >> ((forb - shifts) % t)) & 1 == 0
-    return ok
+    return ((1 << periods) - 1) & ~rotate(t, masks, (t - forb) % t)
 
 
 def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0: ClassMasks):
@@ -264,9 +259,9 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     joined on (group, coupling scores).  Each matched (A row, B row)
     stands for its valid rotations on either side, the candidates it
     counts.  One row_test_batch call per batch tests every match
-    against each rotation d of its B row, and each passing (match, d)
-    gives the hits rotated by s and s + d over the s valid on both
-    sides.
+    against each rotation d of its B row that stands for a candidate,
+    and each passing (match, d) gives the hits with A rotated by -r and
+    B by d - r, over the r valid on both sides.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -297,8 +292,8 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
         u3, u0, p0, bpair = _pair_rows(c3, n0, b3p, b0p, bedges, bpos[g], bpos[h])
         bkey = _coupling_key(tables, bgroup[bpair] - g, u3, u0, -1)
-        order = np.argsort(bkey)
-        bkey, u3, u0, p0, bpair = bkey[order], u3[order], u0[order], p0[order], bpair[order]
+        border = np.argsort(bkey)
+        bkey = bkey[border]
         u1, u2, p2, apair = _pair_rows(c1, n2, a1p, a2p, aedges, apos[g], apos[h])
         akey = _coupling_key(tables, agroup[apair] - g, u1, u2, 1)
         # Sorted probes walk bkey in order, which is several times
@@ -309,24 +304,28 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
         cnt = np.searchsorted(bkey, akey, side="right") - first
         nz = np.nonzero(cnt)[0]
         reps = cnt[nz]
-        # Key match i joins the A row ia[i] to the B row ib[i].
+        # Key match i joins the A row ia[i] to the B row ib[i] in rows[i].
         ia = np.repeat(aorder[nz], reps)
-        ib = np.repeat(first[nz] - np.cumsum(reps) + reps, reps) + np.arange(len(ia))
-        va = _valid_shifts(t, 1, 2, u1[ia], u2[ia], p2[ia])
-        vb = _valid_shifts(t, 3, 0, u3[ib], u0[ib], p0[ib])
-        checked += int(np.count_nonzero(va, axis=1) @ np.count_nonzero(vb, axis=1))
-        # (rot_s A, rot_s+d B) passes exactly when (A, rot_d B) does, so
-        # each match is tested once per relative shift d.  Residues 1 and
-        # 2 hold by the join; the kernel re-checks them only on what
-        # survives its residue-3 and residue-0 checks.
-        rb3, rb0 = rotate(t, u3[ib, None], shifts), rotate(t, u0[ib, None], shifts)
-        i, d = np.nonzero(row_test_batch(tables, u1[ia, None], u2[ia, None], rb3, rb0))
-        # A passing (i, d) is a hit for every s valid on both sides.
-        j, s = np.nonzero(va[i] & vb[i[:, None], (shifts + d[:, None]) % t])
-        qa, qb, sb = ia[i[j]], ib[i[j]], (s + d[j]) % t
-        rows = np.stack([u1[qa], u2[qa], u3[qb], u0[qb]], axis=1)
-        hits.append(rotate(t, rows, np.stack([s, s, sb, sb], axis=1)))
-        hit_recipes.append(apair[qa] * len(b3p) + bpair[qb])
+        ib = border[np.repeat(first[nz] - np.cumsum(reps) + reps, reps) + np.arange(len(ia))]
+        rows = np.stack([u1[ia], u2[ia], u3[ib], u0[ib]], axis=1)
+        # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
+        va = _valid_shifts(t, forbidden_position(1, t), rows[:, 0], p2[ia])
+        vb = _valid_shifts(t, forbidden_position(3, t), rows[:, 2] | rows[:, 3], p0[ib])
+        checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
+        # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
+        # which passes exactly when (A, rot_d B) does, so each match is
+        # tested once per d that stands for a candidate.  Residues 1 and 2
+        # hold by the join; the kernel re-checks them on its survivors.
+        live = va[:, None] & rotate(t, vb[:, None], shifts)
+        i, d = np.nonzero(live)
+        b3, b0 = rotate(t, rows[i, 2], d), rotate(t, rows[i, 3], d)
+        ok = row_test_batch(tables, rows[i, 0], rows[i, 1], b3, b0)
+        # A passing (i, d) gives one hit per set bit r of live[i, d].
+        i, d = i[ok], d[ok]
+        k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
+        i, sa, sb = i[k], (t - r) % t, (d[k] - r) % t
+        hits.append(rotate(t, rows[i], np.stack([sa, sa, sb, sb], axis=1)))
+        hit_recipes.append(apair[ia[i]] * len(b3p) + bpair[ib[i]])
         g = h
     if not hits:
         return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked

@@ -11,7 +11,8 @@ every row congruent to 1 collects exactly t heads.  Rotation and
 complementation preserve profiles, so sizes k and t - k realize the
 same ingredients.  The module also keeps the class domains, which the
 search never builds: the masks a canonical subset may use in each
-class (class_domain).
+class (class_domain), and the termwise form of the coupled-pair
+conditions (pair_terms_vanish).
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from cochad.bitmask import (
     CLASS_ORDER,
+    PAIR_ORDER,
     forbidden_position,
     ingredient_counts,
     join_classes,
     mask_tables,
+    pair_ci,
 )
 from cochad.cocyclic import CoboundarySubset
 from cochad.distributions import Distribution, entry_class_size
@@ -56,6 +61,22 @@ def mask_of(positions) -> int:
     for p in positions:
         mask |= 1 << p
     return mask
+
+
+def pair_terms_vanish(t: int, rows) -> np.ndarray:
+    """Whether every PAIR_ORDER term of each mask row is zero at every m.
+
+    rows holds four class masks per row in CLASS_ORDER.  row_test_batch
+    asks only that each residue's two terms cancel; this asks that each
+    term vanish on its own.
+    """
+    tables = mask_tables(t)
+    masks = dict(zip(CLASS_ORDER, np.asarray(rows, dtype=np.int64).T))
+    ok = np.ones(len(rows), dtype=bool)
+    for m in range(1, tables.half + 1):
+        for a, b in (pair for pairs in PAIR_ORDER.values() for pair in pairs):
+            ok &= pair_ci(tables, masks[a], masks[b], m) == 0
+    return ok
 
 
 def split_classes(t: int, indices) -> dict[int, int]:

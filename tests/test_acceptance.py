@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cochad.bitmask import CLASS_ORDER
 from cochad.cocyclic import (
     CoboundarySubset,
     assemble_cocyclic,
@@ -23,6 +24,7 @@ from cochad.distributions import entry_class_size, enumerate_distributions, is_t
 from cochad.group import GroupContext, element_index, index_element, multiply
 from cochad.paths import path_partner, row_sum_via_paths
 from cochad.search import brute_force, export_solutions, run_search, verify_matrix_file
+from oracles import pair_terms_vanish, split_classes
 
 # The admissible budget distributions for every odd t up to 25, in
 # enumeration order.  The t = 25 entry 72 in the third row is forced:
@@ -162,6 +164,13 @@ def test_criterion_5_search_table():
 def test_criterion_5_search_table_t13():
     reports = _check_search_table(SEARCH_TABLE_SLOW)
     assert reports[13].candidates_checked == 3743688
+    # Each coupled-pair term vanishes on its own in every solution, not
+    # only each residue's sum of two.
+    rows = [
+        [split_classes(13, rec.subset.indices)[cls] for cls in CLASS_ORDER]
+        for rec in reports[13].solutions()
+    ]
+    assert len(rows) == 8424 and pair_terms_vanish(13, rows).all()
     print("ACCEPTANCE 5 search table t=13: PASS")
 
 

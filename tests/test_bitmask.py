@@ -26,7 +26,7 @@ from cochad.cocyclic import (
 from cochad.group import GroupContext
 from cochad.paths import is_hadamard_paths
 from cochad.search import brute_force, run_search
-from oracles import mask_of, split_classes
+from oracles import mask_of, pair_terms_vanish, split_classes
 
 
 def _posset(mask, t):
@@ -205,6 +205,40 @@ def test_row_test_batch_is_rotation_invariant():
         for s in range(1, t):
             assert np.array_equal(row_test_batch(tables, *rotate(t, rows, s).T), want)
     assert verdicts == {True, False}
+
+
+def test_row_test_batch_pass_set_t5():
+    # Over all 2^20 quadruples of class masks at t = 5, canonical or
+    # not, the pass set is 8 times the 120 canonical solutions.  It is
+    # closed under the maps that preserve the cocyclic Hadamard
+    # character, and each coupled-pair term vanishes on its own.
+    t = 5
+    tables = mask_tables(t)
+    full = (1 << t) - 1
+    quads = np.arange(1 << 4 * t, dtype=np.int64)
+    ok = row_test_batch(tables, *((quads >> t * j) & full for j in range(4)))
+    rows = np.stack([(quads[ok] >> t * j) & full for j in range(4)], axis=1)
+    assert len(rows) == 960
+
+    def packed(rows):
+        return np.sort((rows[:, 0] << 3 * t) | (rows[:, 1] << 2 * t) | (rows[:, 2] << t) | rows[:, 3])
+
+    want = packed(rows)
+    images = []
+    # Columns are in CLASS_ORDER: (1 2), (3 0) and (1 3) swap columns.
+    for a, b in ((0, 1), (2, 3), (0, 2)):
+        perm = [0, 1, 2, 3]
+        perm[a], perm[b] = b, a
+        images.append(rows[:, perm])
+    for j in range(4):
+        images.append(rows ^ np.eye(4, dtype=np.int64)[j] * full)
+    # p -> u p; u = 4 is the reflection p -> -p.
+    for u in (2, 3, 4):
+        table = np.array([mask_of(u * p % t for p in _posset(x, t)) for x in range(1 << t)])
+        images.append(table[rows])
+    for image in images:
+        assert np.array_equal(packed(image), want)
+    assert pair_terms_vanish(t, rows).all()
 
 
 @lru_cache(maxsize=None)

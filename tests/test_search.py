@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cochad.search
-from cochad.bitmask import rotate
+from cochad.bitmask import forbidden_position, rotate
 from cochad.cocyclic import assemble_cocyclic, is_hadamard_direct
 from cochad.distributions import enumerate_distributions
 from cochad.recipes import class_masks, necklace_masks
@@ -125,18 +125,22 @@ def test_candidates_checked_frozen():
 @pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
 def test_rotations_of_representatives_are_the_class_domains(t):
     # The join keys (c, n) with n a necklace representative; a match
-    # stands for the rotations its validity grid marks.  Over every pair
-    # of class sizes (k and t - k share a catalog), those rotations must
-    # give each row of the two class domains exactly once.
+    # stands for the rotations rot_-r whose bit r its side's valid set
+    # holds.  Over every pair of class sizes (k and t - k share a
+    # catalog), those rotations must give each row of the two class
+    # domains exactly once.
     sizes = range(t // 2 + 1)
     for (xcls, ycls), kx, ky in product(((1, 2), (3, 0)), sizes, sizes):
         c, n = class_masks(t, kx).flat, necklace_masks(t, ky)
         x = np.repeat(c, len(n.flat))
         y = np.tile(n.flat, len(c))
-        grid = cochad.search._valid_shifts(t, xcls, ycls, x, y, np.tile(n.periods, len(c)))
-        assert grid.shape == (len(x), t)
-        i, s = np.nonzero(grid)
-        u, v = rotate(t, x[i], s), rotate(t, y[i], s)
+        # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
+        guarded = x if ycls == 2 else x | y
+        forb = forbidden_position(xcls, t)
+        valid = cochad.search._valid_shifts(t, forb, guarded, np.tile(n.periods, len(c)))
+        assert (valid >> t == 0).all()
+        i, r = np.nonzero((valid[:, None] >> np.arange(t)) & 1)
+        u, v = rotate(t, x[i], (t - r) % t), rotate(t, y[i], (t - r) % t)
         dx = np.sort(class_domain(t, kx, xcls).flat)
         dy = np.sort(class_domain(t, ky, ycls).flat)
         # want ascends strictly, so equal sorted arrays also rule out repeats
@@ -150,7 +154,7 @@ def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
     # or one larger group; at 97 most t = 9 groups are batches of their
     # own.  A batch's row test takes each key match once per relative
-    # shift, t rows per match.
+    # shift that stands for a candidate.
     default = run_search(9)
     events = []
     batches = []  # (groups, A rows) of each batch
@@ -177,8 +181,7 @@ def test_join_batches_do_not_change_results(monkeypatch):
     assert len(sizes) > 1 and events[0::3] == events[1::3] == ["key"] * len(sizes)
     assert all(groups == 1 or rows <= 97 for groups, rows in batches)
     assert sum(groups == 1 and rows > 97 for groups, rows in batches) > len(batches) // 2
-    assert all(size % 9 == 0 for size in sizes)
-    assert sum(sizes) == 9 * 14016
+    assert sum(sizes) == 83282
 
 
 class _RecordingExecutor:
