@@ -18,8 +18,8 @@ The zero-sum condition for a row of the assembled matrix is then a small
 integer identity per rotation shift m.  row_test_batch is the one
 executable statement of those identities: the search runs its joined
 candidates through it and brute force runs every canonical subset
-through it.  join_classes turns a row of four class masks back into
-the subset's sorted indices.  The readable reference implementation
+through it.  join_classes turns rows of four class masks back into
+the subsets' index membership.  The readable reference implementation
 lives in the paths module, and tests hold both to the direct
 orthogonality test.
 """
@@ -100,16 +100,18 @@ def rotate(t: int, masks, s):
     return ((masks << s) | (masks >> (t - s))) & ((1 << t) - 1)
 
 
-def join_classes(t: int, row) -> tuple[int, ...]:
-    """Sorted indices of four class masks given in CLASS_ORDER.
+def join_classes(t: int, rows) -> np.ndarray:
+    """Membership of the subsets given by rows of four class masks.
 
-    Column j of the row holds the class of index 4p + j + 1.  Inverse of
-    the index-to-mask packing in tests/oracles.py once its masks are
+    rows has shape (..., 4), masks in CLASS_ORDER; the result has shape
+    (..., 4t) and column 4p + j is True when index 4p + j + 1 is in the
+    subset, that is when bit p of column j of the row is set.  Inverse
+    of the index-to-mask packing in tests/oracles.py once its masks are
     read in CLASS_ORDER.
     """
-    return tuple(
-        4 * p + j + 1 for p in range(t) for j, mask in enumerate(row) if (mask >> p) & 1
-    )
+    rows = np.asarray(rows, dtype=np.int64)
+    bits = (rows[..., None, :] >> np.arange(t)[:, None]) & 1
+    return bits.astype(bool).reshape(*rows.shape[:-1], 4 * t)
 
 
 def ingredient_counts(tables: MaskTables, mask) -> np.ndarray:

@@ -17,8 +17,8 @@ The two layers differ only by row negations, which never affect row
 orthogonality, so all Hadamard predicates agree across them.  Subsets
 of {1..4t} avoiding 1, 4t-1 and 4t are canonical: the three relations
 rewrite any other subset into the canonical one at the cost of a global
-sign.  Pointwise products are carried as XOR on boolean negativity
-arrays (bit set means entry -1).
+sign.  Pointwise products are carried as products of int8 signs, one
+stack of matrices at a time (see assemble_members).
 """
 
 from __future__ import annotations
@@ -178,27 +178,38 @@ def build_coboundary(ctx: GroupContext, i: int, *, point_form: bool = False) -> 
     return table
 
 
+def assemble_members(t: int, member, *, point_form: bool = False) -> SignMatrix:
+    """Assembled matrices of subsets given as index membership.
+
+    member has shape (..., 4t): entry j is True when index j + 1 is in
+    the subset.  Returns the (..., 4t, 4t) stack of pointwise products
+    of each subset's coboundary tables with the representative product
+    table.  In sign form, with sig = -1 on members and +1 elsewhere,
+    the working-form coboundary product is sig(s) sig(g_r g_s) at
+    (r, s), so one gather through the product table assembles every
+    matrix at once; point_form=True uses the point layer instead,
+    adding the row factor sig(r).
+    """
+    member = np.asarray(member, dtype=bool)
+    n = 4 * t
+    if member.shape[-1:] != (n,):
+        raise ValueError(f"membership must end in an axis of {n}, got shape {member.shape}")
+    sig = np.where(member, np.int8(-1), np.int8(1))
+    mul = _product_index_table(t)
+    out = np.take(sig, mul.ravel() - 1, axis=-1).reshape(*member.shape[:-1], n, n)
+    out *= sig[..., None, :]
+    if point_form:
+        out *= sig[..., :, None]
+    out *= _representative(t).product
+    return out
+
+
 def assemble_cocyclic(subset: CoboundarySubset, *, point_form: bool = False) -> SignMatrix:
     """Pointwise product of the subset's coboundary tables with the
-    representative product table.
-
-    Products are accumulated as XOR on negativity bits: the working-form
-    coboundary of index i is negative at (r, s) exactly when membership
-    of s and of the product index g_r g_s in the subset differ, so one
-    table lookup assembles the whole product.  point_form=True uses the
-    point layer instead, adding the row-membership bit.
-    """
-    ctx = subset.ctx
-    n = ctx.order
-    member = np.zeros(n + 1, dtype=bool)
-    member[list(subset.indices)] = True
-    mul = _product_index_table(ctx.t)
-    cols = member[1 : n + 1]
-    neg = cols[None, :] ^ member[mul]
-    if point_form:
-        neg = neg ^ cols[:, None]
-    neg = neg ^ (build_representative(ctx).product < 0)
-    return np.where(neg, np.int8(-1), np.int8(1))
+    representative product table; see assemble_members."""
+    member = np.zeros(subset.ctx.order, dtype=bool)
+    member[[i - 1 for i in subset.indices]] = True
+    return assemble_members(subset.ctx.t, member, point_form=point_form)
 
 
 @lru_cache(maxsize=None)
@@ -239,19 +250,25 @@ def canonicalize(subset: CoboundarySubset) -> tuple[CoboundarySubset, int]:
     return CoboundarySubset(ctx, frozenset(idx)), sign
 
 
-def is_hadamard_direct(M: SignMatrix) -> bool:
-    """Ground truth: M M^T equals order times the identity."""
+def is_hadamard_direct(M: SignMatrix) -> bool | np.ndarray:
+    """Ground truth: M M^T equals order times the identity.
+
+    M is one square matrix or a stack (..., n, n) of them; returns a
+    bool for one matrix and a bool array of the stack's shape otherwise.
+    """
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if not np.all(np.abs(M) == 1):
         raise ValueError("entries must be +1 or -1")
-    n = M.shape[0]
+    n = M.shape[-1]
     # float32 puts the product on BLAS.  Each entry of the gram is a sum
     # of n products of +-1, an integer of size at most n, so the float32
     # sums are exact while n < 2^24.
     work = M.astype(np.float32)
-    return np.array_equal(work @ work.T, n * np.eye(n, dtype=np.float32))
+    gram = work @ np.swapaxes(work, -1, -2)
+    ok = np.all(gram == n * np.eye(n, dtype=np.float32), axis=(-2, -1))
+    return bool(ok) if M.ndim == 2 else ok
 
 
 def format_matrix(t: int, M: SignMatrix) -> str:

@@ -54,8 +54,10 @@ recipe columns: every matched (A profile pair, B profile pair), and the
 distinct ones among its hits; a rotation keeps the profiles, so a hit's
 recipe is its representatives'.  Its hits stay (n, 4) mask rows until
 the call that searches a distribution turns them into sorted subsets
-and certifies each by the direct orthogonality test, so each --jobs
-worker returns only what it has certified itself.
+and their index membership rows, and certifies every one by the direct
+orthogonality test, assembled and tested in stacks of _CERTIFY_BATCH
+matrices (one gram product per matrix), so each --jobs worker returns
+only what it has certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
@@ -89,6 +91,7 @@ from .bitmask import (
 from .cocyclic import (
     CoboundarySubset,
     assemble_cocyclic,
+    assemble_members,
     format_matrix,
     is_hadamard_direct,
     parse_matrix,
@@ -100,8 +103,9 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15, the
-# largest t run to completion (~20 s serial); t = 17 has not been run.
+# groups and the key fits through t = 19.  The cap stays at 15 (~20 s
+# serial): one complete t = 17 run (13056 solutions, ~3.5 min) has no
+# second route to confirm its count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
@@ -113,6 +117,13 @@ _JOIN_LIMIT_T = 15
 # other (2.0-2.5 s), while peak RSS grows with the size: 60.0, 62.1,
 # 67.7, 74.8 and 84.8 MB.
 _CHUNK_ROWS = 1 << 14
+
+# Solutions are certified in stacks of this many matrices.  Measured on
+# the 8424 solutions of run_search(13), 2 cores: 32 to 128 take
+# 0.13 s in all and 256 takes 0.15 s, while peak RSS grows with the
+# stack: 61.2, 61.8, 63.8 and 67.2 MB at 32, 64, 128 and 256, so from
+# 64 down the stacks stay within 1 MB of the peak the joins set.
+_CERTIFY_BATCH = 64
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
 _BRUTE_LIMIT_BITS = 25
@@ -332,23 +343,35 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     return np.concatenate(hits), recipe_count, len(np.unique(np.concatenate(hit_recipes))), checked
 
 
-def _subsets_of_rows(t: int, rows) -> list[CoboundarySubset]:
-    """The subsets of mask rows given in CLASS_ORDER, by sorted_indices.
+def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
+    """The subsets of (n, 4) mask rows in CLASS_ORDER, by sorted_indices.
 
-    Raises AssertionError when two rows give the same subset.
+    Returns the subsets and their (n, 4t) membership rows (see
+    bitmask.join_classes) in that order.  Raises AssertionError when two
+    rows give the same subset.
     """
-    ctx = GroupContext(t)
-    subsets = [CoboundarySubset(ctx, frozenset(join_classes(t, row))) for row in rows]
-    if len(set(subsets)) != len(subsets):
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    member = join_classes(t, rows)
+    row, col = np.nonzero(member)
+    cols = (col + 1).tolist()
+    ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
+    indices = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
+    # A set of the tuples, not np.unique(rows, axis=0): that imports
+    # numpy.ma, ~1.4 MB of peak RSS on every search.
+    if len(set(indices)) != len(indices):
         raise AssertionError("mask rows produced overlapping subsets")
-    return sorted(subsets, key=CoboundarySubset.sorted_indices)
+    order = sorted(range(len(rows)), key=indices.__getitem__)
+    ctx = GroupContext(t)
+    subsets = [CoboundarySubset(ctx, frozenset(indices[i])) for i in order]
+    return subsets, member[order]
 
 
 def _search_distribution(t: int, distribution: Distribution) -> tuple[DistributionReport, int]:
     """The certified report of one distribution and the candidates checked.
 
     Every solution is certified with the direct orthogonality test here,
-    so a --jobs worker returns only what it has certified itself.
+    in stacks of _CERTIFY_BATCH matrices, so a --jobs worker returns
+    only what it has certified itself.
     """
     sizes = {entry: entry_class_size(t, entry) for entry in distribution.entries}
     rows = []
@@ -367,12 +390,16 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
         # across them.
         solution_recipe_count += n_solution_recipes
         checked += n_checked
-    # Subsets are built once the joins are done: built between joins,
-    # they raised the t = 13 peak RSS by ~3 MB.
-    subsets = _subsets_of_rows(t, np.concatenate(rows).tolist())
-    for subset in subsets:
-        if not is_hadamard_direct(assemble_cocyclic(subset)):
-            raise AssertionError(f"candidate failed certification: {subset}")
+    # Subsets are built once the joins are done: at t = 13 building and
+    # sorting the 8424 subsets takes ~0.13 s, and built between joins
+    # they raised the peak RSS from 61.8 to 63.5 MB.
+    subsets, member = _subsets_of_rows(t, np.concatenate(rows))
+    for lo in range(0, len(subsets), _CERTIFY_BATCH):
+        ok = is_hadamard_direct(assemble_members(t, member[lo : lo + _CERTIFY_BATCH]))
+        if not np.all(ok):
+            raise AssertionError(
+                f"candidate failed certification: {subsets[lo + int(np.argmin(ok))]}"
+            )
     report = DistributionReport(
         distribution=distribution,
         ingredient_counts=tuple(len(class_masks(t, sizes[e]).codes) for e in distribution.entries),
@@ -445,7 +472,7 @@ def brute_force(t: int) -> BruteForceReport:
             ok = row_test_batch(tables, m1, m2, grid3, grid0)
             for m3, m0 in zip(grid3[ok].tolist(), grid0[ok].tolist()):
                 found.append((m1, m2, m3, m0))
-    return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, found)))
+    return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, found)[0]))
 
 
 def verify_matrix_file(path) -> tuple[int, bool]:

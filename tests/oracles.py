@@ -28,7 +28,6 @@ from cochad.bitmask import (
     PAIR_ORDER,
     forbidden_position,
     ingredient_counts,
-    join_classes,
     mask_tables,
     pair_ci,
 )
@@ -77,6 +76,18 @@ def pair_terms_vanish(t: int, rows) -> np.ndarray:
         for a, b in (pair for pairs in PAIR_ORDER.values() for pair in pairs):
             ok &= pair_ci(tables, masks[a], masks[b], m) == 0
     return ok
+
+
+def joined_indices(t: int, row) -> tuple[int, ...]:
+    """Sorted indices of four class masks given in CLASS_ORDER, one row at
+    a time; the reference for bitmask.join_classes.
+
+    Column j of the row holds the class of index 4p + j + 1.  Inverse of
+    split_classes once its masks are read in CLASS_ORDER.
+    """
+    return tuple(
+        4 * p + j + 1 for p in range(t) for j, mask in enumerate(row) if (mask >> p) & 1
+    )
 
 
 def split_classes(t: int, indices) -> dict[int, int]:
@@ -189,4 +200,4 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
         i = profile_ingredients(t, side).index(ing)
         per_class.append(side.flat[side.starts[i] : side.starts[i] + side.sizes[i]].tolist())
     for row in product(*per_class):
-        yield CoboundarySubset(ctx, frozenset(join_classes(t, row)))
+        yield CoboundarySubset(ctx, frozenset(joined_indices(t, row)))

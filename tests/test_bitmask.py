@@ -26,7 +26,7 @@ from cochad.cocyclic import (
 from cochad.group import GroupContext
 from cochad.paths import is_hadamard_paths
 from cochad.search import brute_force, run_search
-from oracles import mask_of, pair_terms_vanish, split_classes
+from oracles import joined_indices, mask_of, pair_terms_vanish, split_classes
 
 
 def _posset(mask, t):
@@ -66,12 +66,25 @@ def test_forbidden_positions():
 def test_split_join_classes():
     rng = np.random.default_rng(9)
     for t in (3, 5, 9):
+        subsets, rows = [], []
         for _ in range(50):
             n = int(rng.integers(0, 4 * t + 1))
             idx = sorted(int(x) for x in rng.choice(np.arange(1, 4 * t + 1), n, replace=False))
             masks = split_classes(t, idx)
             assert set(masks) == {1, 2, 3, 0}
-            assert join_classes(t, [masks[cls] for cls in CLASS_ORDER]) == tuple(idx)
+            row = [masks[cls] for cls in CLASS_ORDER]
+            assert joined_indices(t, row) == tuple(idx)
+            subsets.append(idx)
+            rows.append(row)
+        member = join_classes(t, rows)
+        assert member.dtype == bool and member.shape == (50, 4 * t)
+        for idx, got in zip(subsets, member):
+            assert (np.flatnonzero(got) + 1).tolist() == idx
+        # Leading axes are kept, and one row gives one membership vector.
+        stacked = join_classes(t, np.array(rows).reshape(5, 10, 4))
+        assert np.array_equal(stacked.reshape(50, 4 * t), member)
+        assert np.array_equal(join_classes(t, rows[0]), member[0])
+    assert join_classes(3, np.empty((0, 4), dtype=np.int64)).shape == (0, 12)
     with pytest.raises(ValueError):
         split_classes(3, [13])
     with pytest.raises(ValueError):
@@ -148,7 +161,7 @@ def _row_test_cases():
     draws for t = 5..13."""
     cases = {t: set() for t in range(3, 15, 2)}
     for masks in _NEAR_MISSES_T7:
-        cases[7].add(frozenset(join_classes(7, masks)))
+        cases[7].add(frozenset(joined_indices(7, masks)))
     pool5 = sorted(set(range(1, 21)) - prohibited_indices(GroupContext(5)))
     for subset in brute_force(5).solutions:
         cases[5].add(subset.indices)

@@ -11,6 +11,7 @@ from cochad.cocyclic import (
     _coboundary_blocks,
     _coboundary_point,
     assemble_cocyclic,
+    assemble_members,
     build_back_negacyclic,
     build_coboundary,
     build_representative,
@@ -159,6 +160,32 @@ def test_assemble_empty_is_representative():
     assert np.array_equal(assemble_cocyclic(empty, point_form=True), rep)
 
 
+def _membership(subsets):
+    member = np.zeros((len(subsets), subsets[0].ctx.order), dtype=bool)
+    for row, subset in zip(member, subsets):
+        row[[i - 1 for i in subset.indices]] = True
+    return member
+
+
+def test_assemble_members_stacks_assemble_cocyclic():
+    # One formula assembles a single subset and a stack of them.
+    rng = np.random.default_rng(29)
+    for t in (3, 5, 9):
+        ctx = GroupContext(t)
+        subsets = [CoboundarySubset(ctx, frozenset())]
+        subsets += [_random_subset(ctx, rng) for _ in range(23)]
+        member = _membership(subsets)
+        for point in (False, True):
+            stack = assemble_members(t, member, point_form=point)
+            assert stack.dtype == np.int8 and stack.shape == (24, 4 * t, 4 * t)
+            for subset, matrix in zip(subsets, stack):
+                assert np.array_equal(matrix, assemble_cocyclic(subset, point_form=point))
+            grid = assemble_members(t, member.reshape(4, 6, 4 * t), point_form=point)
+            assert np.array_equal(grid.reshape(stack.shape), stack)
+    with pytest.raises(ValueError):
+        assemble_members(3, np.zeros((2, 11), dtype=bool))
+
+
 def test_canonicalize_examples():
     ctx = GroupContext(3)
     canon, sign = canonicalize(CoboundarySubset(ctx, frozenset({1})))
@@ -194,6 +221,47 @@ def test_hadamard_direct():
         is_hadamard_direct(np.ones((3, 4), dtype=np.int8))
     with pytest.raises(ValueError):
         is_hadamard_direct(np.zeros((4, 4), dtype=np.int8))
+
+
+def test_hadamard_direct_on_stacks():
+    # A stack gets one verdict per matrix, the 2-D call's verdict.
+    rng = np.random.default_rng(31)
+    ctx = GroupContext(3)
+    known = [CoboundarySubset(ctx, frozenset(idx)) for idx in ({2, 3, 4}, {5, 6, 7})]
+    subsets = known + [_random_subset(ctx, rng) for _ in range(30)]
+    stack = assemble_members(3, _membership(subsets))
+    verdicts = is_hadamard_direct(stack)
+    assert verdicts.dtype == bool and verdicts.shape == (32,)
+    assert verdicts.tolist() == [is_hadamard_direct(matrix) for matrix in stack]
+    assert verdicts[:2].all() and not verdicts.all()
+    assert type(is_hadamard_direct(stack[0])) is bool
+    assert is_hadamard_direct(stack.reshape(4, 8, 12, 12)).shape == (4, 8)
+    assert is_hadamard_direct(np.ones((0, 12, 12), dtype=np.int8)).shape == (0,)
+    with pytest.raises(ValueError):
+        is_hadamard_direct(np.ones((2, 3, 4), dtype=np.int8))
+    with pytest.raises(ValueError):
+        is_hadamard_direct(np.ones(4, dtype=np.int8))
+    zero = stack.copy()
+    zero[17, 5, 9] = 0
+    with pytest.raises(ValueError):
+        is_hadamard_direct(zero)
+
+
+def test_single_flip_in_a_stack_is_found_at_its_position():
+    # Row negations and row permutations keep H H^T = 4t I, so each
+    # matrix of the stack is certified; one flipped entry fails only its
+    # own matrix.
+    idx = {2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 18, 21, 22, 23, 25, 31, 35, 37, 41, 42, 43, 46, 49}
+    matrix = assemble_cocyclic(CoboundarySubset(GroupContext(13), frozenset(idx)))
+    rng = np.random.default_rng(37)
+    stack = np.stack(
+        [(matrix * rng.choice([-1, 1], size=(52, 1)))[rng.permutation(52)] for _ in range(9)]
+    ).astype(np.int8)
+    assert is_hadamard_direct(stack).all()
+    for k, r, s in ((0, 0, 0), (4, 17, 40), (8, 51, 51)):
+        flipped = stack.copy()
+        flipped[k, r, s] *= -1
+        assert np.flatnonzero(~is_hadamard_direct(flipped)).tolist() == [k]
 
 
 def test_known_solutions_t3():

@@ -1,5 +1,6 @@
 """Pruned search, brute-force scan, certification, and export."""
 
+import re
 from itertools import product
 from pathlib import Path
 
@@ -7,18 +8,20 @@ import numpy as np
 import pytest
 
 import cochad.search
-from cochad.bitmask import forbidden_position, rotate
-from cochad.cocyclic import assemble_cocyclic, is_hadamard_direct
+from cochad.bitmask import CLASS_ORDER, forbidden_position, rotate
+from cochad.cocyclic import CoboundarySubset, assemble_cocyclic, is_hadamard_direct
 from cochad.distributions import enumerate_distributions
+from cochad.group import GroupContext
 from cochad.recipes import class_masks, necklace_masks
 from cochad.search import (
     ResourceLimitError,
+    _subsets_of_rows,
     brute_force,
     export_solutions,
     run_search,
     verify_matrix_file,
 )
-from oracles import class_domain, enumerate_recipes, recipe_of
+from oracles import class_domain, enumerate_recipes, joined_indices, recipe_of, split_classes
 
 # distribution rows frozen as
 # (entries, ingredient counts, recipes, solution recipes, hadamard)
@@ -182,6 +185,64 @@ def test_join_batches_do_not_change_results(monkeypatch):
     assert all(groups == 1 or rows <= 97 for groups, rows in batches)
     assert sum(groups == 1 and rows > 97 for groups, rows in batches) > len(batches) // 2
     assert sum(sizes) == 83282
+
+
+def test_subsets_of_rows():
+    # brute_force(7) hands over its 840 passing rows in mask order (class
+    # 1, then 2, 3 and 0), the order sorted() gives the search's rows.
+    rows = sorted(
+        tuple(split_classes(7, rec.subset.indices)[cls] for cls in CLASS_ORDER)
+        for rec in run_search(7).solutions()
+    )
+    ctx = GroupContext(7)
+    want = sorted(
+        (CoboundarySubset(ctx, frozenset(joined_indices(7, row))) for row in rows),
+        key=CoboundarySubset.sorted_indices,
+    )
+    subsets, member = _subsets_of_rows(7, np.array(rows))
+    assert len(subsets) == 840 and subsets == want
+    assert member.dtype == bool and member.shape == (840, 28)
+    assert [tuple((np.flatnonzero(m) + 1).tolist()) for m in member] == [
+        s.sorted_indices() for s in subsets
+    ]
+    subsets, member = _subsets_of_rows(7, np.empty((0, 4), dtype=np.int64))
+    assert subsets == [] and member.shape == (0, 28)
+    with pytest.raises(AssertionError, match="mask rows produced overlapping subsets"):
+        _subsets_of_rows(7, np.array(rows + rows[5:6]))
+
+
+def test_certification_runs_in_stacks(monkeypatch):
+    # Each distribution's solutions are certified _CERTIFY_BATCH at a
+    # time, in their reported order, and a failing verdict names its own
+    # subset.
+    default = run_search(9)
+    real = cochad.search.is_hadamard_direct
+    stacks = []
+
+    def recording(matrices):
+        stacks.append(matrices.shape)
+        return real(matrices)
+
+    monkeypatch.setattr(cochad.search, "_CERTIFY_BATCH", 100)
+    monkeypatch.setattr(cochad.search, "is_hadamard_direct", recording)
+    assert run_search(9) == default
+    assert [n for n, _, _ in stacks] == [100] * 19 + [44] + [100] * 12 + [96]
+    assert {shape[1:] for shape in stacks} == {(36, 36)}
+
+    seen = []
+
+    def one_fails(matrices):
+        ok = real(matrices)
+        lo = sum(seen)
+        seen.append(len(matrices))
+        if lo <= 250 < lo + len(matrices):
+            ok[250 - lo] = False
+        return ok
+
+    monkeypatch.setattr(cochad.search, "is_hadamard_direct", one_fails)
+    failing = default.reports[0].solutions[250].subset
+    with pytest.raises(AssertionError, match=re.escape(f"certification: {failing}")):
+        run_search(9)
 
 
 class _RecordingExecutor:
