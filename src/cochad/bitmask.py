@@ -66,9 +66,17 @@ class MaskTables:
     pc[x]       popcount of x
     rot[m][x]   x rotated left by m within t bits, 1 <= m <= (t-1)/2
     runs[m][x]  popcount(x & ~rot[m][x]), chain endings at shift m
+    coupling    the t x t float64 matrix W with
+                sum_m (2t+1)^(half-m) pair_ci(a, b, m) = bits(a) W bits(b)^T
 
     Right rotations are not stored: rotation keeps popcount, so
-    |b & rot_{-m}(a)| = |a & rot_m(b)|.
+    |b & rot_{-m}(a)| = |a & rot_m(b)|.  On the 0/1 position vectors,
+    pair_ci(a, b, m) = a^T (S_m - S_m^T) b with S_m[i, j] = 1 when
+    i = j + m (mod t), so W = sum_m (2t+1)^(half-m) (S_m - S_m^T): entry
+    (i, j) is +(2t+1)^(half-m) when i - j = m and -(2t+1)^(half-m) when
+    j - i = m (mod t), for 1 <= m <= half; t is odd, so exactly one of the
+    two holds off the diagonal.  Every entry is an integer of size at most
+    (2t+1)^(half-1).
     """
 
     def __init__(self, t: int) -> None:
@@ -85,6 +93,11 @@ class MaskTables:
         for m in range(1, self.half + 1):
             self.rot[m] = rotate(t, xs, m)
             self.runs[m] = self.pc[xs & ~self.rot[m]]
+        pos = np.arange(t)
+        diff = (pos[:, None] - pos[None, :]) % t
+        weight = np.zeros(t, dtype=np.int64)
+        weight[1 : self.half + 1] = (2 * t + 1) ** np.arange(self.half - 1, -1, -1)
+        self.coupling = (weight[diff] - weight[(t - diff) % t]).astype(np.float64)
 
 
 @lru_cache(maxsize=None)

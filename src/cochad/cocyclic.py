@@ -53,9 +53,10 @@ class CoboundarySubset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "indices", frozenset(self.indices))
-        bad = sorted(i for i in self.indices if not 1 <= i <= self.ctx.order)
-        if bad:
-            raise ValueError(f"indices {bad} outside [1, {self.ctx.order}]")
+        order = self.ctx.order
+        if self.indices and not (1 <= min(self.indices) and max(self.indices) <= order):
+            bad = sorted(i for i in self.indices if not 1 <= i <= order)
+            raise ValueError(f"indices {bad} outside [1, {order}]")
 
     @property
     def is_canonical(self) -> bool:

@@ -8,10 +8,23 @@ recipes.class_masks keeps per class size: masks grouped by profile,
 and each profile's integer code.  First the profiles: the code sums of
 class pairs (1, 2) are matched against t minus those of (3, 0); each
 match is one recipe, found without touching a single mask.  Then the
-masks: only matched profile pairs are expanded, in batches of whole
-profile groups (see _CHUNK_ROWS), and the two sides meet on one key
-per row, the matched profile group plus the coupling score per shift
-that balances the rows congruent to 2.
+masks: only the rows of matched profile pairs are keyed, in batches of
+whole profile groups (see _CHUNK_ROWS), and the two sides meet on one
+key per row, the matched profile group plus the coupling score per
+shift that balances the rows congruent to 2.
+
+The coupling scores pack into one bilinear form.  pair_ci(x, y, m) is
+x^T (S_m - S_m^T) y on the 0/1 position vectors, S_m the shift by m,
+and the key's digits pair_ci + t, m = 1 .. (t-1)/2, weigh
+(2t+1)^((t-1)/2 - m) each, so the key is the group times
+(2t+1)^((t-1)/2) plus x^T W y plus a constant, W =
+bitmask.MaskTables.coupling (the B side uses -W).  Each side keeps the
+rows of x^T W for its class-1 or class-3 catalog, and a batch's keys
+come from one float64 product per x profile against the y masks of its
+matched pairs.  Every partial sum is an integer below 2^53 through
+t = 19 (at most 2.1e14), so the products are exact; the group part is
+added in int64.  A row stays implicit as a key position until its key
+matches, and only then is decoded to its masks.
 
 The mask rows are keyed on rotation-orbit representatives only.  An A
 row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
@@ -84,7 +97,6 @@ from .bitmask import (
     forbidden_position,
     join_classes,
     mask_tables,
-    pair_ci,
     rotate,
     row_test_batch,
 )
@@ -103,7 +115,7 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15 (~20 s
+# groups and the key fits through t = 19.  The cap stays at 15 (~12 s
 # serial): one complete t = 17 run (13056 solutions, ~3.5 min) has no
 # second route to confirm its count yet.
 _JOIN_LIMIT_T = 15
@@ -113,9 +125,9 @@ _JOIN_LIMIT_T = 15
 # of its own (none is at t <= 15, where the largest holds 10320).  Each
 # batch makes one row_test_batch call of at most t rows per key match:
 # the largest holds 90428 rows at t = 13 and 24874 at t = 15.  Measured
-# on run_search(13), 2 cores: 2^13 to 2^17 run within noise of each
-# other (2.0-2.5 s), while peak RSS grows with the size: 60.0, 62.1,
-# 67.7, 74.8 and 84.8 MB.
+# on run_search(13), 2 cores, three runs each: 2^13 takes 1.17-1.25 s
+# and 2^14 to 2^17 take 0.91-1.12 s, while peak RSS is 62.5, 62.3, 62.1,
+# 61.6 and 65.5 MB; at t = 15, 2^16 raised it from 70.4 to 73.2 MB.
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
@@ -216,30 +228,68 @@ def _matched_pairs(x: ClassMasks, y: ClassMasks, codes, sums):
     return px, py, group[order], edges
 
 
-def _pair_rows(x: ClassMasks, y: ClassMasks, px, py, edges, first: int, stop: int):
-    """All rows of the products masks(px[p]) x masks(py[p]), first <= p < stop.
+def _position_bits(t: int, masks) -> np.ndarray:
+    """The (n, t) float64 0/1 position vectors of masks."""
+    return ((masks[:, None] >> np.arange(t)) & 1).astype(np.float64)
 
-    Returns the two mask columns, the period of each y mask and the
-    pair index of each row.
+
+def _side_keys(t: int, x: ClassMasks, y: ClassMasks, xw, yb, px, py, group, first: int, stop: int):
+    """Join keys of all rows of masks(px[p]) x masks(py[p]), first <= p < stop.
+
+    A row (u, v) of pair p gets the key group[p - first] (2t+1)^half plus
+    the digits sign * pair_ci(u, v, m) + t, m = 1 .. half, in base 2t + 1:
+    xw holds the position vectors of x.flat times sign * W
+    (MaskTables.coupling) and yb those of y.flat, so the digits sum to
+    xw[u] . yb[v] + ((2t+1)^half - 1) / 2.  The pairs of each x profile
+    form one block, keyed by one float64 product of the y masks of its
+    pairs against that profile's rows of xw.  The product is exact: every
+    partial sum is an integer of size at most 2t sum_m (2t+1)^(half-m),
+    2.1e14 at t = 19, below 2^53.  The group offset passes 2^53 by
+    t = 17, so it is added in int64.  Returns the keys, the blocks laid
+    out one after another with one row per y mask, and a function that
+    maps key positions back to the x mask, y mask, y period and pair of
+    their rows.
     """
-    pair = np.repeat(np.arange(first, stop), np.diff(edges[first : stop + 1]))
-    local = np.arange(edges[first], edges[stop], dtype=np.int64) - edges[pair]
-    i, j = np.divmod(local, y.sizes[py[pair]])
-    iy = y.starts[py[pair]] + j
-    return x.flat[x.starts[px[pair]] + i], y.flat[iy], y.periods[iy], pair
+    base = (2 * t + 1) ** ((t - 1) // 2)
+    pairs = first + np.argsort(px[first:stop], kind="stable")
+    # Pair k's y masks are the columns cedges[k] .. cedges[k + 1] - 1.
+    counts = y.sizes[py[pairs]]
+    cedges = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum(counts, out=cedges[1:])
+    col_pair = np.repeat(pairs, counts)
+    col_y = np.arange(cedges[-1]) + np.repeat(y.starts[py[pairs]] - cedges[:-1], counts)
+    col_rows = x.sizes[px[col_pair]]
+    heads = np.flatnonzero(np.diff(px[pairs], prepend=-1))
+    bx = px[pairs[heads]]
+    cols = np.append(cedges[heads], cedges[-1])
+    # Block b's keys are keys[kedges[b] : kedges[b + 1]], one row per y
+    # mask, so all keys of a row share one pair and one group offset.
+    kedges = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(x.sizes[bx] * np.diff(cols), out=kedges[1:])
+    coupling = np.empty(kedges[-1])
+    ybc, xwt = yb[col_y], xw.T
+    for lo, hi, k0, k1, start, size in zip(
+        cols[:-1].tolist(),
+        cols[1:].tolist(),
+        kedges[:-1].tolist(),
+        kedges[1:].tolist(),
+        x.starts[bx].tolist(),
+        x.sizes[bx].tolist(),
+    ):
+        out = coupling[k0:k1].reshape(hi - lo, size)
+        np.matmul(ybc[lo:hi], xwt[:, start : start + size], out=out)
+    keys = coupling.astype(np.int64)
+    del coupling, ybc
+    keys += np.repeat(group[col_pair - first] * base + base // 2, col_rows)
 
+    def rows_at(pos):
+        b = np.searchsorted(kedges, pos, side="right") - 1
+        j, i = np.divmod(pos - kedges[b], x.sizes[bx[b]])
+        col = cols[b] + j
+        iy = col_y[col]
+        return x.flat[x.starts[bx[b]] + i], y.flat[iy], y.periods[iy], col_pair[col]
 
-def _coupling_key(tables, group, u, v, sign: int):
-    """Pack the group and the per-shift coupling scores into one int64 key.
-
-    The A side keys pair_ci(u, v, m) + t and the B side t - pair_ci(u, v, m),
-    so equal keys mean every residue-2 row balances.
-    """
-    t = tables.t
-    key = group.astype(np.int64)
-    for m in range(1, tables.half + 1):
-        key = key * (2 * t + 1) + (sign * pair_ci(tables, u, v, m) + t)
-    return key
+    return keys, rows_at
 
 
 def _valid_shifts(t: int, forb: int, masks, periods):
@@ -264,15 +314,16 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     profile pair (classes 1, 2) meets a B pair (classes 3, 0) when its
     code sum equals t in every digit minus the B pair's codes, and each
     such meeting is one recipe; the solution recipes are the distinct
-    meetings among the hits.  Only matched pairs are expanded to
-    representative rows, in batches of whole groups holding at most
-    _CHUNK_ROWS A rows (a larger group is a batch of its own), and
-    joined on (group, coupling scores).  Each matched (A row, B row)
-    stands for its valid rotations on either side, the candidates it
-    counts.  One row_test_batch call per batch tests every match
-    against each rotation d of its B row that stands for a candidate,
-    and each passing (match, d) gives the hits with A rotated by -r and
-    B by d - r, over the r valid on both sides.
+    meetings among the hits.  Only matched pairs are keyed, in batches
+    of whole groups holding at most _CHUNK_ROWS A rows (a larger group
+    is a batch of its own), and joined on (group, coupling scores); the
+    keys come from one float64 product per x profile (see _side_keys),
+    and a row is built from its key position only when its key matches.
+    Each matched (A row, B row) stands for its valid rotations on either
+    side, the candidates it counts.  One row_test_batch call per batch
+    tests every match against each rotation d of its B row that stands
+    for a candidate, and each passing (match, d) gives the hits with A
+    rotated by -r and B by d - r, over the r valid on both sides.
     """
     tables = mask_tables(t)
     half = tables.half
@@ -284,7 +335,7 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     bcodes = (full - c3.codes[:, None] - n0.codes[None, :]).ravel()
     sums = np.intersect1d(acodes, bcodes)
     a1p, a2p, agroup, aedges = _matched_pairs(c1, n2, acodes, sums)
-    b3p, b0p, bgroup, bedges = _matched_pairs(c3, n0, bcodes, sums)
+    b3p, b0p, bgroup, _ = _matched_pairs(c3, n0, bcodes, sums)
     recipe_count = int(
         np.dot(np.bincount(agroup, minlength=len(sums)), np.bincount(bgroup, minlength=len(sums)))
     )
@@ -293,6 +344,9 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     apos = np.searchsorted(agroup, bounds)
     bpos = np.searchsorted(bgroup, bounds)
     arow = aedges[apos]
+    aw = _position_bits(t, c1.flat) @ tables.coupling
+    bw = _position_bits(t, c3.flat) @ -tables.coupling
+    ab, bb = _position_bits(t, n2.flat), _position_bits(t, n0.flat)
 
     shifts = np.arange(t)
     hits = []
@@ -301,12 +355,14 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
-        u3, u0, p0, bpair = _pair_rows(c3, n0, b3p, b0p, bedges, bpos[g], bpos[h])
-        bkey = _coupling_key(tables, bgroup[bpair] - g, u3, u0, -1)
+        bkey, brows = _side_keys(
+            t, c3, n0, bw, bb, b3p, b0p, bgroup[bpos[g] : bpos[h]] - g, bpos[g], bpos[h]
+        )
         border = np.argsort(bkey)
         bkey = bkey[border]
-        u1, u2, p2, apair = _pair_rows(c1, n2, a1p, a2p, aedges, apos[g], apos[h])
-        akey = _coupling_key(tables, agroup[apair] - g, u1, u2, 1)
+        akey, arows = _side_keys(
+            t, c1, n2, aw, ab, a1p, a2p, agroup[apos[g] : apos[h]] - g, apos[g], apos[h]
+        )
         # Sorted probes walk bkey in order, which is several times
         # faster than probing it at random.
         aorder = np.argsort(akey)
@@ -315,13 +371,19 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
         cnt = np.searchsorted(bkey, akey, side="right") - first
         nz = np.nonzero(cnt)[0]
         reps = cnt[nz]
-        # Key match i joins the A row ia[i] to the B row ib[i] in rows[i].
+        # Key match i joins the A row at key position ia[i] to the B row
+        # at ib[i]; only these rows are built.
         ia = np.repeat(aorder[nz], reps)
         ib = border[np.repeat(first[nz] - np.cumsum(reps) + reps, reps) + np.arange(len(ia))]
-        rows = np.stack([u1[ia], u2[ia], u3[ib], u0[ib]], axis=1)
+        # Freeing the batch's keys before its matched rows are built holds
+        # run_search(13)'s peak RSS ~0.5 MB lower.
+        del akey, bkey, aorder, border, first, cnt
+        u1, u2, p2, apair = arows(ia)
+        u3, u0, p0, bpair = brows(ib)
+        rows = np.stack([u1, u2, u3, u0], axis=1)
         # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
-        va = _valid_shifts(t, forbidden_position(1, t), rows[:, 0], p2[ia])
-        vb = _valid_shifts(t, forbidden_position(3, t), rows[:, 2] | rows[:, 3], p0[ib])
+        va = _valid_shifts(t, forbidden_position(1, t), u1, p2)
+        vb = _valid_shifts(t, forbidden_position(3, t), u3 | u0, p0)
         checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
         # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
         # which passes exactly when (A, rot_d B) does, so each match is
@@ -336,7 +398,7 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
         k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
         i, sa, sb = i[k], (t - r) % t, (d[k] - r) % t
         hits.append(rotate(t, rows[i], np.stack([sa, sa, sb, sb], axis=1)))
-        hit_recipes.append(apair[ia[i]] * len(b3p) + bpair[ib[i]])
+        hit_recipes.append(apair[i] * len(b3p) + bpair[i])
         g = h
     if not hits:
         return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked

@@ -11,8 +11,9 @@ every row congruent to 1 collects exactly t heads.  Rotation and
 complementation preserve profiles, so sizes k and t - k realize the
 same ingredients.  The module also keeps the class domains, which the
 search never builds: the masks a canonical subset may use in each
-class (class_domain), and the termwise form of the coupled-pair
-conditions (pair_terms_vanish).
+class (class_domain), the termwise form of the coupled-pair
+conditions (pair_terms_vanish), and the join key digit by digit
+(coupling_key).
 """
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ def pair_terms_vanish(t: int, rows) -> np.ndarray:
         for a, b in (pair for pairs in PAIR_ORDER.values() for pair in pairs):
             ok &= pair_ci(tables, masks[a], masks[b], m) == 0
     return ok
+
+
+def coupling_key(tables, group, u, v, sign: int):
+    """The join key of rows (u, v), packed one digit at a time.
+
+    The group, then sign * pair_ci(u, v, m) + t for m = 1 .. (t-1)/2, as
+    base-(2t + 1) digits, most significant first: the A side keys sign
+    +1 and the B side -1, so equal keys mean every residue-2 row
+    balances.  The reference for search._side_keys.
+    """
+    t = tables.t
+    key = np.asarray(group, dtype=np.int64)
+    for m in range(1, tables.half + 1):
+        key = key * (2 * t + 1) + (sign * pair_ci(tables, u, v, m) + t)
+    return key
 
 
 def joined_indices(t: int, row) -> tuple[int, ...]:

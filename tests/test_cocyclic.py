@@ -1,5 +1,7 @@
 """Representative tables, coboundaries, assembly, canonical forms, IO."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,9 @@ def test_subset_validation():
         CoboundarySubset(ctx, frozenset({0}))
     with pytest.raises(ValueError):
         CoboundarySubset(ctx, frozenset({13}))
+    with pytest.raises(ValueError, match=re.escape("indices [-1, 0, 13] outside [1, 12]")):
+        CoboundarySubset(ctx, frozenset({13, 5, 0, -1, 12}))
+    assert CoboundarySubset(ctx, frozenset()).sorted_indices() == ()
 
 
 def test_assemble_matches_iterative_product():

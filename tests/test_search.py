@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import cochad.search
-from cochad.bitmask import CLASS_ORDER, forbidden_position, rotate
+from cochad.bitmask import CLASS_ORDER, MaskTables, forbidden_position, rotate
 from cochad.cocyclic import CoboundarySubset, assemble_cocyclic, is_hadamard_direct
-from cochad.distributions import enumerate_distributions
+from cochad.distributions import entry_class_size, enumerate_distributions
 from cochad.group import GroupContext
-from cochad.recipes import class_masks, necklace_masks
+from cochad.recipes import ClassMasks, class_masks, necklace_masks
 from cochad.search import (
     ResourceLimitError,
     _subsets_of_rows,
@@ -21,7 +21,14 @@ from cochad.search import (
     run_search,
     verify_matrix_file,
 )
-from oracles import class_domain, enumerate_recipes, joined_indices, recipe_of, split_classes
+from oracles import (
+    class_domain,
+    coupling_key,
+    enumerate_recipes,
+    joined_indices,
+    recipe_of,
+    split_classes,
+)
 
 # distribution rows frozen as
 # (entries, ingredient counts, recipes, solution recipes, hadamard)
@@ -160,21 +167,21 @@ def test_join_batches_do_not_change_results(monkeypatch):
     # shift that stands for a candidate.
     default = run_search(9)
     events = []
-    batches = []  # (groups, A rows) of each batch
-    real_key, real_test = cochad.search._coupling_key, cochad.search.row_test_batch
+    batches = []  # (groups, keyed rows) of each side of each batch
+    real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
 
-    def coupling_key(tables, group, u, v, sign):
+    def side_keys(t, x, y, xw, yb, px, py, group, first, stop):
         events.append("key")
-        if sign == 1:
-            batches.append((len(np.unique(group)), len(u)))
-        return real_key(tables, group, u, v, sign)
+        keys, rows_at = real_keys(t, x, y, xw, yb, px, py, group, first, stop)
+        batches.append((len(np.unique(group)), len(keys)))
+        return keys, rows_at
 
     def row_test_batch(tables, *cols):
         events.append(np.broadcast(*cols).size)
         return real_test(tables, *cols)
 
     monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
-    monkeypatch.setattr(cochad.search, "_coupling_key", coupling_key)
+    monkeypatch.setattr(cochad.search, "_side_keys", side_keys)
     monkeypatch.setattr(cochad.search, "row_test_batch", row_test_batch)
     tiny = run_search(9)
     assert tiny.candidates_checked == default.candidates_checked == 130248
@@ -182,9 +189,89 @@ def test_join_batches_do_not_change_results(monkeypatch):
     # Each batch keys its B rows, then its A rows, then makes one row test.
     sizes = events[2::3]
     assert len(sizes) > 1 and events[0::3] == events[1::3] == ["key"] * len(sizes)
-    assert all(groups == 1 or rows <= 97 for groups, rows in batches)
-    assert sum(groups == 1 and rows > 97 for groups, rows in batches) > len(batches) // 2
+    abatches = batches[1::2]
+    assert all(groups == 1 or rows <= 97 for groups, rows in abatches)
+    assert sum(groups == 1 and rows > 97 for groups, rows in abatches) > len(abatches) // 2
     assert sum(sizes) == 83282
+
+
+def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
+    """groups profiles of 1 to 5 random masks each, with each mask's
+    period read as 3 * mask + 1, an arbitrary label."""
+    sizes = rng.integers(1, 6, size=groups)
+    flat = rng.integers(0, 1 << t, size=int(sizes.sum()), dtype=np.int64)
+    return ClassMasks(
+        codes=np.arange(groups),
+        sizes=sizes,
+        starts=np.cumsum(sizes) - sizes,
+        flat=flat,
+        periods=3 * flat + 1,
+    )
+
+
+@pytest.mark.parametrize("t", range(3, 21, 2))
+def test_side_keys_match_digit_keys(t):
+    # The keys of one float64 product per x profile must equal the keys
+    # packed digit by digit, for every odd t the int64 key can hold.
+    # Group ids run up to _CHUNK_ROWS - 1, the most a batch can hold, so
+    # the int64 group part is covered at t = 17 and 19, beyond the
+    # search's cap.  Uncached tables: t = 19 needs ~60 MB.
+    tables = MaskTables(t)
+    rng = np.random.default_rng(t)
+    x, y = _seeded_catalog(rng, t, 40), _seeded_catalog(rng, t, 30)
+    npairs, first, stop = 300, 7, 290
+    px, py = rng.integers(0, 40, size=npairs), rng.integers(0, 30, size=npairs)
+    group = rng.integers(0, cochad.search._CHUNK_ROWS, size=stop - first)
+    group[:2] = cochad.search._CHUNK_ROWS - 1
+    yb = cochad.search._position_bits(t, y.flat)
+    for sign in (1, -1):
+        xw = cochad.search._position_bits(t, x.flat) @ (sign * tables.coupling)
+        keys, rows_at = cochad.search._side_keys(t, x, y, xw, yb, px, py, group, first, stop)
+        u, v, per, pair = rows_at(np.arange(len(keys)))
+        assert np.array_equal(keys, coupling_key(tables, group[pair - first], u, v, sign))
+        assert np.array_equal(per, 3 * v + 1)
+        # Every row of every pair, each once.
+        want = sorted(
+            (p, xm, ym)
+            for p in range(first, stop)
+            for xm in x.flat[x.starts[px[p]] : x.starts[px[p]] + x.sizes[px[p]]].tolist()
+            for ym in y.flat[y.starts[py[p]] : y.starts[py[p]] + y.sizes[py[p]]].tolist()
+        )
+        assert sorted(zip(pair.tolist(), u.tolist(), v.tolist())) == want
+
+
+@pytest.mark.parametrize(
+    "t, mirrors, hit_rows", [(3, 1, 6), (5, 2, 40), (7, 2, 210), (9, 5, 810), (11, 5, 1100)]
+)
+def test_mirror_assignments_agree(t, mirrors, hit_rows):
+    # (u1, u2, u3, u0) -> (u1, ~u2, u0, u3) keeps every head profile,
+    # negates both coupling terms and keeps every forbidden position, so
+    # it maps the join of (e1, e2, e3, e0) one to one onto that of
+    # (e1, e2, e0, e3).  mirrors counts the pairs, hit_rows the hits of
+    # their first assignments.
+    full = (1 << t) - 1
+    found = rows = 0
+    for dist in enumerate_distributions(t):
+        assignments = dist.assignments()
+        for e1, e2, e3, e0 in assignments:
+            if e3 >= e0 or (e1, e2, e0, e3) not in assignments:
+                continue
+            found += 1
+            (hits, *counts), (mirror, *mirror_counts) = (
+                cochad.search._join_assignment(
+                    t,
+                    class_masks(t, entry_class_size(t, a)),
+                    necklace_masks(t, entry_class_size(t, b)),
+                    class_masks(t, entry_class_size(t, c)),
+                    necklace_masks(t, entry_class_size(t, d)),
+                )
+                for a, b, c, d in ((e1, e2, e3, e0), (e1, e2, e0, e3))
+            )
+            assert counts == mirror_counts
+            rows += len(hits)
+            mapped = np.stack([hits[:, 0], hits[:, 1] ^ full, hits[:, 3], hits[:, 2]], axis=1)
+            assert sorted(map(tuple, mapped.tolist())) == sorted(map(tuple, mirror.tolist()))
+    assert (found, rows) == (mirrors, hit_rows)
 
 
 def test_subsets_of_rows():
