@@ -180,17 +180,20 @@ def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
     t = tables.t
     cols = np.broadcast_arrays(*(np.asarray(s, dtype=np.int64) for s in (s1, s2, s3, s0)))
     shape = cols[0].shape
-    masks = dict(zip(CLASS_ORDER, (c.ravel() for c in cols)))
+    # Row col(c) holds the survivors' masks of class c.
+    masks, col = np.stack([c.ravel() for c in cols]), CLASS_ORDER.index
     alive = np.arange(cols[0].size)
     for m, residue in product(range(1, tables.half + 1), (3, 0, 2, 1)):
         if not alive.size:
             break
         if residue == 1:
-            keep = sum(tables.runs[m][masks[cls]] for cls in CLASS_ORDER) == t
+            keep = tables.runs[m][masks].sum(axis=0) == t
         else:
-            keep = sum(pair_ci(tables, masks[a], masks[b], m) for a, b in PAIR_ORDER[residue]) == 0
+            terms = (pair_ci(tables, masks[col(a)], masks[col(b)], m) for a, b in PAIR_ORDER[residue])
+            keep = sum(terms) == 0
+        keep = np.flatnonzero(keep)
         alive = alive[keep]
-        masks = {cls: v[keep] for cls, v in masks.items()}
+        masks = masks[:, keep]
     ok = np.zeros(cols[0].size, dtype=bool)
     ok[alive] = True
     return ok.reshape(shape) if shape else bool(ok[0])

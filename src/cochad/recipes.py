@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitmask import ingredient_counts, mask_tables, rotate
+from .group import validate_t
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +73,11 @@ def class_masks(t: int, k: int) -> ClassMasks:
     Profiles ascend, and so do their codes, since every digit is below
     t + 1; the masks of each profile ascend.
     """
-    tables = mask_tables(t)
+    # Both checks come before the tables, which are large at t >= 19.
+    validate_t(t)
     if not 0 <= k <= t:
         raise ValueError(f"k must be in [0, {t}], got {k}")
+    tables = mask_tables(t)
     masks = np.flatnonzero((tables.pc == k) | (tables.pc == t - k))
     digits = ingredient_counts(tables, masks).astype(np.int64)
     codes = (t + 1) ** np.arange(tables.half - 1, -1, -1) @ digits

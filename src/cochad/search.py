@@ -20,8 +20,8 @@ and the key's digits pair_ci + t, m = 1 .. (t-1)/2, weigh
 (2t+1)^((t-1)/2) plus x^T W y plus a constant, W =
 bitmask.MaskTables.coupling (the B side uses -W).  Each side keeps the
 rows of x^T W for its class-1 or class-3 catalog, and a batch's keys
-come from one float64 product per x profile against the y masks of its
-matched pairs.  Every partial sum is an integer below 2^53 through
+come from one float64 product per matched profile pair, laid out at the
+pair's row offset.  Every partial sum is an integer below 2^53 through
 t = 19 (at most 2.1e14), so the products are exact; the group part is
 added in int64.  A row stays implicit as a key position until its key
 matches, and only then is decoded to its masks.
@@ -233,61 +233,40 @@ def _position_bits(t: int, masks) -> np.ndarray:
     return ((masks[:, None] >> np.arange(t)) & 1).astype(np.float64)
 
 
-def _side_keys(t: int, x: ClassMasks, y: ClassMasks, xw, yb, px, py, group, first: int, stop: int):
+def _side_keys(
+    t: int, x: ClassMasks, y: ClassMasks, xw, yb, px, py, group, edges, first: int, stop: int
+):
     """Join keys of all rows of masks(px[p]) x masks(py[p]), first <= p < stop.
 
     A row (u, v) of pair p gets the key group[p - first] (2t+1)^half plus
     the digits sign * pair_ci(u, v, m) + t, m = 1 .. half, in base 2t + 1:
     xw holds the position vectors of x.flat times sign * W
     (MaskTables.coupling) and yb those of y.flat, so the digits sum to
-    xw[u] . yb[v] + ((2t+1)^half - 1) / 2.  The pairs of each x profile
-    form one block, keyed by one float64 product of the y masks of its
-    pairs against that profile's rows of xw.  The product is exact: every
-    partial sum is an integer of size at most 2t sum_m (2t+1)^(half-m),
-    2.1e14 at t = 19, below 2^53.  The group offset passes 2^53 by
-    t = 17, so it is added in int64.  Returns the keys, the blocks laid
-    out one after another with one row per y mask, and a function that
-    maps key positions back to the x mask, y mask, y period and pair of
-    their rows.
+    xw[u] . yb[v] + ((2t+1)^half - 1) / 2.  Each matched profile pair is
+    keyed by one float64 product of its x rows of xw against its y masks,
+    laid out x-major at edges[p] - edges[first] (see _matched_pairs).  The
+    product is exact: every partial sum is an integer of size at most
+    2t sum_m (2t+1)^(half-m), 2.1e14 at t = 19, below 2^53.  The group
+    offset passes 2^53 by t = 17, so it is added in int64.  Returns the
+    keys and a function that maps key positions back to the x mask,
+    y mask, y period and pair of their rows.
     """
     base = (2 * t + 1) ** ((t - 1) // 2)
-    pairs = first + np.argsort(px[first:stop], kind="stable")
-    # Pair k's y masks are the columns cedges[k] .. cedges[k + 1] - 1.
-    counts = y.sizes[py[pairs]]
-    cedges = np.zeros(len(pairs) + 1, dtype=np.int64)
-    np.cumsum(counts, out=cedges[1:])
-    col_pair = np.repeat(pairs, counts)
-    col_y = np.arange(cedges[-1]) + np.repeat(y.starts[py[pairs]] - cedges[:-1], counts)
-    col_rows = x.sizes[px[col_pair]]
-    heads = np.flatnonzero(np.diff(px[pairs], prepend=-1))
-    bx = px[pairs[heads]]
-    cols = np.append(cedges[heads], cedges[-1])
-    # Block b's keys are keys[kedges[b] : kedges[b + 1]], one row per y
-    # mask, so all keys of a row share one pair and one group offset.
-    kedges = np.zeros(len(heads) + 1, dtype=np.int64)
-    np.cumsum(x.sizes[bx] * np.diff(cols), out=kedges[1:])
-    coupling = np.empty(kedges[-1])
-    ybc, xwt = yb[col_y], xw.T
-    for lo, hi, k0, k1, start, size in zip(
-        cols[:-1].tolist(),
-        cols[1:].tolist(),
-        kedges[:-1].tolist(),
-        kedges[1:].tolist(),
-        x.starts[bx].tolist(),
-        x.sizes[bx].tolist(),
-    ):
-        out = coupling[k0:k1].reshape(hi - lo, size)
-        np.matmul(ybc[lo:hi], xwt[:, start : start + size], out=out)
+    at = edges[first:stop] - edges[first]
+    coupling = np.empty(edges[stop] - edges[first])
+    xs, nx = x.starts[px[first:stop]], x.sizes[px[first:stop]]
+    ys, ny = y.starts[py[first:stop]], y.sizes[py[first:stop]]
+    for k, i, n, j, m in zip(at.tolist(), xs.tolist(), nx.tolist(), ys.tolist(), ny.tolist()):
+        np.dot(xw[i : i + n], yb[j : j + m].T, out=coupling[k : k + n * m].reshape(n, m))
     keys = coupling.astype(np.int64)
-    del coupling, ybc
-    keys += np.repeat(group[col_pair - first] * base + base // 2, col_rows)
+    del coupling
+    keys += np.repeat(group * base + base // 2, nx * ny)
 
     def rows_at(pos):
-        b = np.searchsorted(kedges, pos, side="right") - 1
-        j, i = np.divmod(pos - kedges[b], x.sizes[bx[b]])
-        col = cols[b] + j
-        iy = col_y[col]
-        return x.flat[x.starts[bx[b]] + i], y.flat[iy], y.periods[iy], col_pair[col]
+        q = np.searchsorted(at, pos, side="right") - 1
+        i, j = np.divmod(pos - at[q], ny[q])
+        iy = ys[q] + j
+        return x.flat[xs[q] + i], y.flat[iy], y.periods[iy], first + q
 
     return keys, rows_at
 
@@ -317,8 +296,9 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     meetings among the hits.  Only matched pairs are keyed, in batches
     of whole groups holding at most _CHUNK_ROWS A rows (a larger group
     is a batch of its own), and joined on (group, coupling scores); the
-    keys come from one float64 product per x profile (see _side_keys),
-    and a row is built from its key position only when its key matches.
+    keys come from one float64 product per matched profile pair (see
+    _side_keys), and a row is built from its key position only when its
+    key matches.
     Each matched (A row, B row) stands for its valid rotations on either
     side, the candidates it counts.  One row_test_batch call per batch
     tests every match against each rotation d of its B row that stands
@@ -335,7 +315,7 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     bcodes = (full - c3.codes[:, None] - n0.codes[None, :]).ravel()
     sums = np.intersect1d(acodes, bcodes)
     a1p, a2p, agroup, aedges = _matched_pairs(c1, n2, acodes, sums)
-    b3p, b0p, bgroup, _ = _matched_pairs(c3, n0, bcodes, sums)
+    b3p, b0p, bgroup, bedges = _matched_pairs(c3, n0, bcodes, sums)
     recipe_count = int(
         np.dot(np.bincount(agroup, minlength=len(sums)), np.bincount(bgroup, minlength=len(sums)))
     )
@@ -356,12 +336,12 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
         bkey, brows = _side_keys(
-            t, c3, n0, bw, bb, b3p, b0p, bgroup[bpos[g] : bpos[h]] - g, bpos[g], bpos[h]
+            t, c3, n0, bw, bb, b3p, b0p, bgroup[bpos[g] : bpos[h]] - g, bedges, bpos[g], bpos[h]
         )
         border = np.argsort(bkey)
         bkey = bkey[border]
         akey, arows = _side_keys(
-            t, c1, n2, aw, ab, a1p, a2p, agroup[apos[g] : apos[h]] - g, apos[g], apos[h]
+            t, c1, n2, aw, ab, a1p, a2p, agroup[apos[g] : apos[h]] - g, aedges, apos[g], apos[h]
         )
         # Sorted probes walk bkey in order, which is several times
         # faster than probing it at random.
@@ -542,20 +522,23 @@ def verify_matrix_file(path) -> tuple[int, bool]:
 
     Returns (t, verdict).  A false verdict is a result, not an error;
     malformed input raises MatrixFormatError with the offending line.
+    The bytes are decoded as UTF-8 with no newline translation, so a
+    "\r" reaches parse_matrix as the invalid character it is.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_bytes().decode("utf-8")
     t, matrix = parse_matrix(text)
     return t, is_hadamard_direct(matrix)
 
 
 def _write_atomic(target: Path, text: str) -> None:
-    """Write text to a temp file beside target, then rename it over target.
+    """Write text as UTF-8 bytes, with no newline translation, to a temp
+    file beside target, then rename it over target.
 
     A failed write leaves target as it was and removes the temp file.
     """
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(text.encode())
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

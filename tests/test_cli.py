@@ -117,6 +117,23 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_verify_rejects_foreign_line_ends(tmp_path, capsys, newline):
+    # The file is read as bytes, so no newline translation hides the "\r"
+    # that parse_matrix rejects on line 1.
+    out_dir = tmp_path / "run"
+    assert main(["search", "--t", "3", "--out", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    matrix = sorted(out_dir.glob("t03-*.txt"))[0]
+    assert main(["verify", str(matrix)]) == EXIT_OK
+    capsys.readouterr()
+    matrix.write_bytes(matrix.read_bytes().replace(b"\n", newline.encode()))
+    assert main(["verify", str(matrix)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: ")
+
+
 def test_malformed_matrix_exits_with_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("t=3\n+++\n")

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import cochad.recipes
 from cochad.bitmask import CLASS_ORDER, forbidden_position, rotate
 from cochad.cocyclic import CoboundarySubset
 from cochad.distributions import enumerate_distributions
@@ -158,6 +159,20 @@ def test_class_masks_sorted():
         for name in ("codes", "sizes", "starts", "flat", "periods"):
             with pytest.raises(ValueError):
                 getattr(side, name)[0] = 0  # the cached arrays are shared, so read-only
+
+
+def test_class_masks_checks_arguments_before_building_tables(monkeypatch):
+    # The tables take ~60 MB at t = 19, so a bad t or k fails first.
+    def no_tables(t):
+        raise AssertionError("mask tables built")
+
+    monkeypatch.setattr(cochad.recipes, "mask_tables", no_tables)
+    with pytest.raises(ValueError, match="t must be odd and >= 3, got 4"):
+        class_masks(4, 99)
+    with pytest.raises(ValueError, match=r"k must be in \[0, 19\], got 99"):
+        class_masks(19, 99)
+    with pytest.raises(ValueError, match=r"k must be in \[0, 19\], got -1"):
+        class_masks(19, -1)
 
 
 def test_necklace_masks_are_least_rotations():

@@ -170,9 +170,9 @@ def test_join_batches_do_not_change_results(monkeypatch):
     batches = []  # (groups, keyed rows) of each side of each batch
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
 
-    def side_keys(t, x, y, xw, yb, px, py, group, first, stop):
+    def side_keys(t, x, y, xw, yb, px, py, group, edges, first, stop):
         events.append("key")
-        keys, rows_at = real_keys(t, x, y, xw, yb, px, py, group, first, stop)
+        keys, rows_at = real_keys(t, x, y, xw, yb, px, py, group, edges, first, stop)
         batches.append((len(np.unique(group)), len(keys)))
         return keys, rows_at
 
@@ -211,11 +211,11 @@ def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
 
 @pytest.mark.parametrize("t", range(3, 21, 2))
 def test_side_keys_match_digit_keys(t):
-    # The keys of one float64 product per x profile must equal the keys
-    # packed digit by digit, for every odd t the int64 key can hold.
-    # Group ids run up to _CHUNK_ROWS - 1, the most a batch can hold, so
-    # the int64 group part is covered at t = 17 and 19, beyond the
-    # search's cap.  Uncached tables: t = 19 needs ~60 MB.
+    # The keys of one float64 product per matched profile pair must equal
+    # the keys packed digit by digit, for every odd t the int64 key can
+    # hold.  Group ids run up to _CHUNK_ROWS - 1, the most a batch can
+    # hold, so the int64 group part is covered at t = 17 and 19, beyond
+    # the search's cap.  Uncached tables: t = 19 needs ~60 MB.
     tables = MaskTables(t)
     rng = np.random.default_rng(t)
     x, y = _seeded_catalog(rng, t, 40), _seeded_catalog(rng, t, 30)
@@ -223,13 +223,20 @@ def test_side_keys_match_digit_keys(t):
     px, py = rng.integers(0, 40, size=npairs), rng.integers(0, 30, size=npairs)
     group = rng.integers(0, cochad.search._CHUNK_ROWS, size=stop - first)
     group[:2] = cochad.search._CHUNK_ROWS - 1
+    edges = np.zeros(npairs + 1, dtype=np.int64)
+    np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
     yb = cochad.search._position_bits(t, y.flat)
     for sign in (1, -1):
         xw = cochad.search._position_bits(t, x.flat) @ (sign * tables.coupling)
-        keys, rows_at = cochad.search._side_keys(t, x, y, xw, yb, px, py, group, first, stop)
+        keys, rows_at = cochad.search._side_keys(
+            t, x, y, xw, yb, px, py, group, edges, first, stop
+        )
         u, v, per, pair = rows_at(np.arange(len(keys)))
         assert np.array_equal(keys, coupling_key(tables, group[pair - first], u, v, sign))
         assert np.array_equal(per, 3 * v + 1)
+        # Pair p's keys sit at edges[p] - edges[first] onward.
+        spans = np.diff(edges[first : stop + 1])
+        assert np.array_equal(pair, np.repeat(np.arange(first, stop), spans))
         # Every row of every pair, each once.
         want = sorted(
             (p, xm, ym)
@@ -416,17 +423,17 @@ def test_failed_export_keeps_earlier_files(tmp_path, monkeypatch, failing_write)
     export_solutions(report, tmp_path)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert len(before) == 25
-    real_write_text = Path.write_text
+    real_write_bytes = Path.write_bytes
     writes = []
 
-    def write_text(self, data, *args, **kwargs):
+    def write_bytes(self, data):
         writes.append(self)
         if len(writes) == failing_write:
-            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            real_write_bytes(self, data[: len(data) // 2])
             raise OSError("disk full")
-        return real_write_text(self, data, *args, **kwargs)
+        return real_write_bytes(self, data)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
     with pytest.raises(OSError, match="disk full"):
         export_solutions(report, tmp_path)
     monkeypatch.undo()
