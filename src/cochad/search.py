@@ -31,7 +31,7 @@ row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
 the least rotation of u2's necklace (recipes.necklace_masks), and c a
 mask of class 1's rotation-closed catalog; a B row (u3, u0) of D3 x D0
 likewise by c from class 3's catalog and n from class 0's
-representatives.  Three facts make this exact:
+representatives.  Four facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
     every term of pair_ci(u, v, m), a popcount of an intersection of
@@ -51,6 +51,18 @@ representatives.  Three facts make this exact:
     such popcounts and the head profiles, so rotating all four together
     keeps its verdict: (rot_-r A, rot_-r' B) passes exactly when
     (A, rot_d B) does, d = r - r'.
+  * Mirror.  The map (u1, u2, u3, u0) -> (u1, ~u2, u0, u3), class 2
+    complemented and classes 3 and 0 swapped, keeps every head profile
+    (complements share profiles, and the B code is a sum), negates both
+    terms of the residue-2 sum (pair_ci(u1, ~u2, m) = -pair_ci(u1, u2,
+    m)), keeps every forbidden position (class 2 has none, classes 3
+    and 0 share t - 1) and commutes with rotation.  So it maps the key
+    matches of assignment (e1, e2, e3, e0) one to one onto those of
+    (e1, e2, e0, e3), with the same valid rotations: u1 is kept, ~u2
+    has u2's period and u3 | u0 is symmetric.  But the mirror's
+    residue-3 and residue-0 sums are the match's (1,0)-(3,2) and
+    (1,3)-(0,2), not the sums the match is tested on, so a match and
+    its mirror are row-tested each on its own.
 
 So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
@@ -60,6 +72,9 @@ but by the third fact each match goes through bitmask.row_test_batch
 only once per relative shift d that stands for a candidate, that is
 when the A set meets the B set rotated by d.  A passing d gives the
 hits (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
+By the fourth fact, an assignment with e3 > e0 is joined together with
+its mirror: the same batches row-test each match's mirror too, at the
+same d, and the mirror assignment is never keyed, sorted or probed.
 row_test_batch is the one statement of all the row conditions: it
 settles the rows congruent to 3 and 0 and re-checks those congruent to
 1 and 2 on the few survivors.  The join also counts the report's
@@ -115,19 +130,20 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15 (~12 s
-# serial): one complete t = 17 run (13056 solutions, ~3.5 min) has no
-# second route to confirm its count yet.
+# groups and the key fits through t = 19.  The cap stays at 15 (~7 s
+# serial): one complete t = 17 run (13056 solutions, ~3.5 min before
+# mirror pairs were joined once) has no second route to confirm its
+# count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
 # many A-side representative rows; a group larger than that is a batch
 # of its own (none is at t <= 15, where the largest holds 10320).  Each
-# batch makes one row_test_batch call of at most t rows per key match:
-# the largest holds 90428 rows at t = 13 and 24874 at t = 15.  Measured
-# on run_search(13), 2 cores, three runs each: 2^13 takes 1.17-1.25 s
-# and 2^14 to 2^17 take 0.91-1.12 s, while peak RSS is 62.5, 62.3, 62.1,
-# 61.6 and 65.5 MB; at t = 15, 2^16 raised it from 70.4 to 73.2 MB.
+# batch makes one row_test_batch call of at most t rows per key match,
+# or 2t with its mirror: the largest holds 90428 rows at t = 13 and
+# 49748 at t = 15.  Measured on run_search(13), 2 cores, three runs
+# each: 2^13 takes 1.08-1.26 s and 2^14 to 2^17 take 1.01-1.15 s, while
+# peak RSS is 62.3, 62.0, 62.6, 66.8 and 70.1 MB.
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
@@ -283,30 +299,38 @@ def _valid_shifts(t: int, forb: int, masks, periods):
     return ((1 << periods) - 1) & ~rotate(t, masks, (t - forb) % t)
 
 
-def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0: ClassMasks):
-    """Mask 4-tuples satisfying all row conditions for one assignment.
+def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
+    """Mask 4-tuples satisfying all row conditions for one assignment and
+    its mirror.
 
-    c1 and c3 are the catalogs of classes 1 and 3, n2 and n0 the
-    necklace representatives of classes 2 and 0 (see the module
-    docstring).  Returns (masks (n, 4), recipe count, solution recipe
-    count, candidates checked).  Profiles are matched first: an A
-    profile pair (classes 1, 2) meets a B pair (classes 3, 0) when its
-    code sum equals t in every digit minus the B pair's codes, and each
-    such meeting is one recipe; the solution recipes are the distinct
-    meetings among the hits.  Only matched pairs are keyed, in batches
-    of whole groups holding at most _CHUNK_ROWS A rows (a larger group
-    is a batch of its own), and joined on (group, coupling scores); the
-    keys come from one float64 product per matched profile pair (see
-    _side_keys), and a row is built from its key position only when its
-    key matches.
+    k1, k2, k3 and k0 are the class sizes the assignment gives classes
+    1, 2, 3 and 0; the join reads the catalogs of classes 1 and 3 and
+    the necklace representatives of classes 2 and 0 (see the module
+    docstring).  Returns one (masks (n, 4), recipe count, solution
+    recipe count, candidates checked) for the assignment and, when
+    k3 != k0, one more for its mirror (k1, k2, k0, k3), which is never
+    keyed.  Profiles are matched first: an A profile pair (classes 1,
+    2) meets a B pair (classes 3, 0) when its code sum equals t in every
+    digit minus the B pair's codes, and each such meeting is one recipe;
+    the solution recipes are the distinct meetings among the hits.  Only
+    matched pairs are keyed, in batches of whole groups holding at most
+    _CHUNK_ROWS A rows (a larger group is a batch of its own), and
+    joined on (group, coupling scores); the keys come from one float64
+    product per matched profile pair (see _side_keys), and a row is
+    built from its key position only when its key matches.
     Each matched (A row, B row) stands for its valid rotations on either
     side, the candidates it counts.  One row_test_batch call per batch
-    tests every match against each rotation d of its B row that stands
-    for a candidate, and each passing (match, d) gives the hits with A
-    rotated by -r and B by d - r, over the r valid on both sides.
+    tests every match, and its mirror, against each rotation d of its B
+    row that stands for a candidate, and each passing (match, d) gives
+    the hits with A rotated by -r and B by d - r, over the r valid on
+    both sides.  The mirror keeps the recipe, candidate and valid-shift
+    counts, but its verdict is not proven to be the match's, so its
+    rows are tested too.
     """
     tables = mask_tables(t)
     half = tables.half
+    c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
+    c3, n0 = class_masks(t, k3), necklace_masks(t, k0)
     # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
     # so a pair's digit sums stay below the base t + 1 and t minus a
     # pair's digits stays positive; no carry or borrow can occur.
@@ -327,10 +351,14 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
     aw = _position_bits(t, c1.flat) @ tables.coupling
     bw = _position_bits(t, c3.flat) @ -tables.coupling
     ab, bb = _position_bits(t, n2.flat), _position_bits(t, n0.flat)
+    # Side 0 is the assignment, side 1 its mirror when it has one.
+    sides = 2 if k3 != k0 else 1
+    flip = np.array([0, (1 << t) - 1, 0, 0])
 
     shifts = np.arange(t)
-    hits = []
-    hit_recipes = []
+    hits = [np.empty((0, 4), dtype=np.int64)]
+    hit_sides = [np.empty(0, dtype=np.int64)]
+    hit_recipes = [np.empty(0, dtype=np.int64)]
     checked = 0
     g = 0
     while g < len(sums):
@@ -360,29 +388,40 @@ def _join_assignment(t: int, c1: ClassMasks, n2: ClassMasks, c3: ClassMasks, n0:
         del akey, bkey, aorder, border, first, cnt
         u1, u2, p2, apair = arows(ia)
         u3, u0, p0, bpair = brows(ib)
+        # rows[s, i] holds match i's masks on side s; the mirror's are
+        # (u1, ~u2, u0, u3).
         rows = np.stack([u1, u2, u3, u0], axis=1)
+        rows = np.stack([rows, rows[:, [0, 1, 3, 2]] ^ flip][:sides])
         # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
         va = _valid_shifts(t, forbidden_position(1, t), u1, p2)
         vb = _valid_shifts(t, forbidden_position(3, t), u3 | u0, p0)
         checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
         # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
         # which passes exactly when (A, rot_d B) does, so each match is
-        # tested once per d that stands for a candidate.  Residues 1 and 2
-        # hold by the join; the kernel re-checks them on its survivors.
+        # tested once per d that stands for a candidate, on every side.
+        # Residues 1 and 2 hold by the join; the kernel re-checks them on
+        # its survivors.
         live = va[:, None] & rotate(t, vb[:, None], shifts)
         i, d = np.nonzero(live)
-        b3, b0 = rotate(t, rows[i, 2], d), rotate(t, rows[i, 3], d)
-        ok = row_test_batch(tables, rows[i, 0], rows[i, 1], b3, b0)
-        # A passing (i, d) gives one hit per set bit r of live[i, d].
-        i, d = i[ok], d[ok]
+        b3, b0 = rotate(t, rows[:, i, 2], d), rotate(t, rows[:, i, 3], d)
+        ok = row_test_batch(tables, rows[:, i, 0], rows[:, i, 1], b3, b0)
+        # A passing (s, i, d) gives one hit per set bit r of live[i, d].
+        s, j = np.nonzero(ok)
+        i, d = i[j], d[j]
         k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
-        i, sa, sb = i[k], (t - r) % t, (d[k] - r) % t
-        hits.append(rotate(t, rows[i], np.stack([sa, sa, sb, sb], axis=1)))
-        hit_recipes.append(apair[i] * len(b3p) + bpair[i])
+        s, i, sa, sb = s[k], i[k], (t - r) % t, (d[k] - r) % t
+        hits.append(rotate(t, rows[s, i], np.stack([sa, sa, sb, sb], axis=1)))
+        hit_sides.append(s)
+        # The mirror maps recipes one to one, so a hit counts its match's
+        # recipe, kept apart by side.
+        hit_recipes.append((apair[i] * len(b3p) + bpair[i]) * sides + s)
         g = h
-    if not hits:
-        return np.empty((0, 4), dtype=np.int64), recipe_count, 0, checked
-    return np.concatenate(hits), recipe_count, len(np.unique(np.concatenate(hit_recipes))), checked
+    hits, hit_sides = np.concatenate(hits), np.concatenate(hit_sides)
+    solution_recipes = np.bincount(np.unique(np.concatenate(hit_recipes)) % sides, minlength=sides)
+    return tuple(
+        (hits[hit_sides == s], recipe_count, int(solution_recipes[s]), checked)
+        for s in range(sides)
+    )
 
 
 def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
@@ -418,20 +457,19 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     sizes = {entry: entry_class_size(t, entry) for entry in distribution.entries}
     rows = []
     recipe_count = solution_recipe_count = checked = 0
-    for e1, e2, e3, e0 in distribution.assignments():
-        masks, n_recipes, n_solution_recipes, n_checked = _join_assignment(
-            t,
-            class_masks(t, sizes[e1]),
-            necklace_masks(t, sizes[e2]),
-            class_masks(t, sizes[e3]),
-            necklace_masks(t, sizes[e0]),
-        )
-        rows.append(masks)
-        recipe_count += n_recipes
-        # Assignments differ in some class budget, so no recipe repeats
-        # across them.
-        solution_recipe_count += n_solution_recipes
-        checked += n_checked
+    # Every assignment with e3 < e0 is the mirror of (e1, e2, e0, e3),
+    # which comes before it and is joined with it.
+    joined = (a for a in distribution.assignments() if a[2] >= a[3])
+    for assignment in joined:
+        for masks, n_recipes, n_solution_recipes, n_checked in _join_assignment(
+            t, *(sizes[e] for e in assignment)
+        ):
+            rows.append(masks)
+            recipe_count += n_recipes
+            # Assignments differ in some class budget, so no recipe
+            # repeats across them.
+            solution_recipe_count += n_solution_recipes
+            checked += n_checked
     # Subsets are built once the joins are done: at t = 13 building and
     # sorting the 8424 subsets takes ~0.13 s, and built between joins
     # they raised the peak RSS from 61.8 to 63.5 MB.

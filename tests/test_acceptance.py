@@ -4,6 +4,7 @@ Each test prints a single PASS line once every check inside it has
 held; run with -s (or read the verbose test list) to see the roster.
 """
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -172,6 +173,26 @@ def test_criterion_5_search_table_t13():
     ]
     assert len(rows) == 8424 and pair_terms_vanish(13, rows).all()
     print("ACCEPTANCE 5 search table t=13: PASS")
+
+
+@pytest.mark.slow
+def test_criterion_5_search_t15():
+    # ~7 s on 2 cores.  The digest is the first 16 hex digits of the
+    # sha256 over the repr of each solution's sorted indices, in order.
+    report = run_search(15)
+    assert [r.summary_line() for r in report.reports] == [
+        "distribution (28, 28, 27, 22): ingredients (222, 222, 160, 56), recipes 597816,"
+        " solution recipes 240, hadamard 7200",
+        "distribution (28, 27, 25, 25): ingredients (222, 160, 106, 106), recipes 523656,"
+        " solution recipes 48, hadamard 1440",
+    ]
+    assert report.candidates_checked == 16243200
+    assert report.hadamard_count == 8640
+    digest = hashlib.sha256()
+    for rec in report.solutions():
+        digest.update(repr(rec.subset.sorted_indices()).encode())
+    assert digest.hexdigest()[:16] == "ebf7960b44c07998"
+    print("ACCEPTANCE 5 search t=15: PASS")
 
 
 def test_criterion_6_path_row_sums():

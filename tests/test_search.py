@@ -164,14 +164,16 @@ def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
     # or one larger group; at 97 most t = 9 groups are batches of their
     # own.  A batch's row test takes each key match once per relative
-    # shift that stands for a candidate.
+    # shift that stands for a candidate, for the assignment and for its
+    # mirror, which is never keyed.
     default = run_search(9)
     events = []
     batches = []  # (groups, keyed rows) of each side of each batch
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
+    size_of = {id(cat(9, k)): k for cat in (class_masks, necklace_masks) for k in range(5)}
 
     def side_keys(t, x, y, xw, yb, px, py, group, edges, first, stop):
-        events.append("key")
+        events.append((size_of[id(x)], size_of[id(y)]))
         keys, rows_at = real_keys(t, x, y, xw, yb, px, py, group, edges, first, stop)
         batches.append((len(np.unique(group)), len(keys)))
         return keys, rows_at
@@ -186,9 +188,20 @@ def test_join_batches_do_not_change_results(monkeypatch):
     tiny = run_search(9)
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
-    # Each batch keys its B rows, then its A rows, then makes one row test.
+    # Each batch keys its B rows (classes 3, 0), then its A rows (1, 2),
+    # then makes one row test.
     sizes = events[2::3]
-    assert len(sizes) > 1 and events[0::3] == events[1::3] == ["key"] * len(sizes)
+    assert len(sizes) > 1 and all(isinstance(n, int) for n in sizes)
+    keyed = {a + b for b, a in zip(events[0::3], events[1::3])}
+    # Only the assignments with k3 >= k0 are keyed; the rest are their
+    # mirrors.  Sizes 4, 3 and 2 carry the entries 10, 9 and 7.
+    joined = set()
+    for dist in enumerate_distributions(9):
+        for assignment in dist.assignments():
+            k1, k2, k3, k0 = (entry_class_size(9, e) for e in assignment)
+            if k3 >= k0:
+                joined.add((k1, k2, k3, k0))
+    assert keyed == joined and len(joined) == 8
     abatches = batches[1::2]
     assert all(groups == 1 or rows <= 97 for groups, rows in abatches)
     assert sum(groups == 1 and rows > 97 for groups, rows in abatches) > len(abatches) // 2
@@ -247,37 +260,56 @@ def test_side_keys_match_digit_keys(t):
         assert sorted(zip(pair.tolist(), u.tolist(), v.tolist())) == want
 
 
+def _tested_orbits(monkeypatch, t, side, join):
+    """The joint-rotation orbits of the rows that join hands
+    row_test_batch for its side-th assignment, each once as its least
+    packed row, and join's result."""
+    real = cochad.search.row_test_batch
+    tested = []
+
+    def recording(tables, *cols):
+        tested.append(np.stack([c[side] for c in np.broadcast_arrays(*cols)], axis=-1))
+        return real(tables, *cols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cochad.search, "row_test_batch", recording)
+        result = join()
+    rows = np.concatenate(tested)
+    turned = rotate(t, rows[:, None, :], np.arange(t)[:, None])
+    packed = (turned << (t * np.arange(3, -1, -1))).sum(axis=-1)
+    return np.unique(packed.min(axis=1)), result
+
+
 @pytest.mark.parametrize(
     "t, mirrors, hit_rows", [(3, 1, 6), (5, 2, 40), (7, 2, 210), (9, 5, 810), (11, 5, 1100)]
 )
-def test_mirror_assignments_agree(t, mirrors, hit_rows):
+def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
     # (u1, u2, u3, u0) -> (u1, ~u2, u0, u3) keeps every head profile,
     # negates both coupling terms and keeps every forbidden position, so
     # it maps the join of (e1, e2, e3, e0) one to one onto that of
-    # (e1, e2, e0, e3).  mirrors counts the pairs, hit_rows the hits of
+    # (e1, e2, e0, e3).  The join of the first returns the second's
+    # results without keying it; they must equal a direct join of the
+    # second on its own catalogs.  The rows each route row-tests for the
+    # second may be different representatives, but of the same
+    # joint-rotation orbits.  The hits alone cannot tell a wrong map:
+    # every solution found so far also passes with class 2 left as it is
+    # (ROADMAP item 5).  mirrors counts the pairs, hit_rows the hits of
     # their first assignments.
-    full = (1 << t) - 1
     found = rows = 0
     for dist in enumerate_distributions(t):
-        assignments = dist.assignments()
-        for e1, e2, e3, e0 in assignments:
-            if e3 >= e0 or (e1, e2, e0, e3) not in assignments:
+        for assignment in dist.assignments():
+            k1, k2, k3, k0 = (entry_class_size(t, e) for e in assignment)
+            if k3 <= k0:
                 continue
             found += 1
-            (hits, *counts), (mirror, *mirror_counts) = (
-                cochad.search._join_assignment(
-                    t,
-                    class_masks(t, entry_class_size(t, a)),
-                    necklace_masks(t, entry_class_size(t, b)),
-                    class_masks(t, entry_class_size(t, c)),
-                    necklace_masks(t, entry_class_size(t, d)),
-                )
-                for a, b, c, d in ((e1, e2, e3, e0), (e1, e2, e0, e3))
-            )
-            assert counts == mirror_counts
-            rows += len(hits)
-            mapped = np.stack([hits[:, 0], hits[:, 1] ^ full, hits[:, 3], hits[:, 2]], axis=1)
-            assert sorted(map(tuple, mapped.tolist())) == sorted(map(tuple, mirror.tolist()))
+            join = cochad.search._join_assignment
+            mapped, (own, mirror) = _tested_orbits(monkeypatch, t, 1, lambda: join(t, k1, k2, k3, k0))
+            tested, (direct, _) = _tested_orbits(monkeypatch, t, 0, lambda: join(t, k1, k2, k0, k3))
+            assert np.array_equal(mapped, tested)
+            # Hits, then recipe, solution recipe and candidate counts.
+            assert mirror[1:] == direct[1:]
+            assert sorted(map(tuple, mirror[0].tolist())) == sorted(map(tuple, direct[0].tolist()))
+            rows += len(own[0])
     assert (found, rows) == (mirrors, hit_rows)
 
 
