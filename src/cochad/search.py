@@ -72,9 +72,10 @@ but by the third fact each match goes through bitmask.row_test_batch
 only once per relative shift d that stands for a candidate, that is
 when the A set meets the B set rotated by d.  A passing d gives the
 hits (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
-By the fourth fact, an assignment with e3 > e0 is joined together with
-its mirror: the same batches row-test each match's mirror too, at the
-same d, and the mirror assignment is never keyed, sorted or probed.
+By the fourth fact, an assignment whose class sizes have k3 > k0 is
+joined together with its mirror: the same batches row-test each match's
+mirror too, at the same d, and the mirror is never keyed, sorted or
+probed.
 row_test_batch is the one statement of all the row conditions: it
 settles the rows congruent to 3 and 0 and re-checks those congruent to
 1 and 2 on the few survivors.  The join also counts the report's
@@ -131,9 +132,8 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
 # groups and the key fits through t = 19.  The cap stays at 15 (~7 s
-# serial): one complete t = 17 run (13056 solutions, ~3.5 min before
-# mirror pairs were joined once) has no second route to confirm its
-# count yet.
+# serial): a t = 17 run (13056 solutions) has no second route to confirm
+# its count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
@@ -457,13 +457,12 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     sizes = {entry: entry_class_size(t, entry) for entry in distribution.entries}
     rows = []
     recipe_count = solution_recipe_count = checked = 0
-    # Every assignment with e3 < e0 is the mirror of (e1, e2, e0, e3),
-    # which comes before it and is joined with it.
-    joined = (a for a in distribution.assignments() if a[2] >= a[3])
-    for assignment in joined:
-        for masks, n_recipes, n_solution_recipes, n_checked in _join_assignment(
-            t, *(sizes[e] for e in assignment)
-        ):
+    # Every assignment with k3 < k0 is the mirror of (k1, k2, k0, k3),
+    # also an assignment, and _join_assignment returns it with that one.
+    for k1, k2, k3, k0 in (tuple(sizes[e] for e in a) for a in distribution.assignments()):
+        if k3 < k0:
+            continue
+        for masks, n_recipes, n_solution_recipes, n_checked in _join_assignment(t, k1, k2, k3, k0):
             rows.append(masks)
             recipe_count += n_recipes
             # Assignments differ in some class budget, so no recipe

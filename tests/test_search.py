@@ -287,7 +287,8 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
     # (u1, u2, u3, u0) -> (u1, ~u2, u0, u3) keeps every head profile,
     # negates both coupling terms and keeps every forbidden position, so
     # it maps the join of (e1, e2, e3, e0) one to one onto that of
-    # (e1, e2, e0, e3).  The join of the first returns the second's
+    # (e1, e2, e0, e3): the first's hits go exactly onto the second's,
+    # with the same counts.  The join of the first returns the second's
     # results without keying it; they must equal a direct join of the
     # second on its own catalogs.  The rows each route row-tests for the
     # second may be different representatives, but of the same
@@ -307,7 +308,9 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
             tested, (direct, _) = _tested_orbits(monkeypatch, t, 0, lambda: join(t, k1, k2, k0, k3))
             assert np.array_equal(mapped, tested)
             # Hits, then recipe, solution recipe and candidate counts.
-            assert mirror[1:] == direct[1:]
+            assert own[1:] == mirror[1:] == direct[1:]
+            flipped = own[0][:, [0, 1, 3, 2]] ^ [0, (1 << t) - 1, 0, 0]
+            assert sorted(map(tuple, flipped.tolist())) == sorted(map(tuple, direct[0].tolist()))
             assert sorted(map(tuple, mirror[0].tolist())) == sorted(map(tuple, direct[0].tolist()))
             rows += len(own[0])
     assert (found, rows) == (mirrors, hit_rows)
