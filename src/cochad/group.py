@@ -10,6 +10,7 @@ four indices therefore share the Z_t coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 # Bit pairs (b, c) in index order within each block of four.
@@ -18,7 +19,12 @@ _BIT_OFFSET = {pair: k for k, pair in enumerate(_BIT_PAIRS)}
 
 
 def validate_t(t: int) -> None:
-    """Raise ValueError unless t is odd and >= 3."""
+    """Raise ValueError unless t is an odd integer >= 3.
+
+    numpy integers pass; a float does not, even when integral.
+    """
+    if not isinstance(t, Integral):
+        raise ValueError(f"t must be an integer, got {t!r}")
     if t < 3 or t % 2 == 0:
         raise ValueError(f"t must be odd and >= 3, got {t}")
 

@@ -74,8 +74,8 @@ when the A set meets the B set rotated by d.  A passing d gives the
 hits (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
 By the fourth fact, an assignment whose class sizes have k3 > k0 is
 joined together with its mirror: the same batches row-test each match's
-mirror too, at the same d, and the mirror is never keyed, sorted or
-probed.
+mirror too, at the same d, the mirror is never keyed, sorted or probed,
+and the join returns the pair's hits and totals.
 row_test_batch is the one statement of all the row conditions: it
 settles the rows congruent to 3 and 0 and re-checks those congruent to
 1 and 2 on the few survivors.  The join also counts the report's
@@ -104,6 +104,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +119,7 @@ from .bitmask import (
 )
 from .cocyclic import (
     CoboundarySubset,
+    MatrixFormatError,
     assemble_cocyclic,
     assemble_members,
     format_matrix,
@@ -227,13 +229,35 @@ class BruteForceReport:
         return out
 
 
-def _matched_pairs(x: ClassMasks, y: ClassMasks, codes, sums):
-    """Profile pairs of two classes whose code is in sums, ordered by group.
+def _position_bits(t: int, masks) -> np.ndarray:
+    """The (n, t) float64 0/1 position vectors of masks."""
+    return ((masks[:, None] >> np.arange(t)) & 1).astype(np.float64)
+
+
+class _JoinSide(NamedTuple):
+    """The matched profile pairs of one join side, ordered by group.
+
+    Pair p joins profile px[p] of catalog x and py[p] of necklaces y; its
+    rows are keyed x-major from edges[p], and group g holds the pairs
+    heads[g] .. heads[g + 1] - 1.  xw and yb are the position vectors
+    of x.flat times the side's coupling matrix and those of y.flat.
+    """
+
+    x: ClassMasks
+    y: ClassMasks
+    xw: np.ndarray
+    yb: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    heads: np.ndarray
+    edges: np.ndarray
+
+
+def _join_side(t: int, x: ClassMasks, y: ClassMasks, codes, sums, coupling) -> _JoinSide:
+    """The side of the profile pairs of x and y whose code is in sums.
 
     codes holds one code per pair (x-major); a pair's group is the
-    position of its code in sums.  Returns the x and y profile indices,
-    the group of each pair and the exclusive prefix sum of the pair row
-    counts (one entry more than pairs).
+    position of its code in sums.
     """
     matched = np.nonzero(np.isin(codes, sums))[0]
     group = np.searchsorted(sums, codes[matched])
@@ -241,42 +265,41 @@ def _matched_pairs(x: ClassMasks, y: ClassMasks, codes, sums):
     px, py = np.divmod(matched[order], len(y.sizes))
     edges = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
-    return px, py, group[order], edges
+    heads = np.searchsorted(group[order], np.arange(len(sums) + 1))
+    xw = _position_bits(t, x.flat) @ coupling
+    return _JoinSide(x, y, xw, _position_bits(t, y.flat), px, py, heads, edges)
 
 
-def _position_bits(t: int, masks) -> np.ndarray:
-    """The (n, t) float64 0/1 position vectors of masks."""
-    return ((masks[:, None] >> np.arange(t)) & 1).astype(np.float64)
+def _side_keys(t: int, side: _JoinSide, g: int, h: int):
+    """Sorted join keys of all rows of the side's groups g .. h - 1.
 
-
-def _side_keys(
-    t: int, x: ClassMasks, y: ClassMasks, xw, yb, px, py, group, edges, first: int, stop: int
-):
-    """Join keys of all rows of masks(px[p]) x masks(py[p]), first <= p < stop.
-
-    A row (u, v) of pair p gets the key group[p - first] (2t+1)^half plus
+    A row (u, v) of a pair in group g + j gets the key j (2t+1)^half plus
     the digits sign * pair_ci(u, v, m) + t, m = 1 .. half, in base 2t + 1:
-    xw holds the position vectors of x.flat times sign * W
-    (MaskTables.coupling) and yb those of y.flat, so the digits sum to
-    xw[u] . yb[v] + ((2t+1)^half - 1) / 2.  Each matched profile pair is
-    keyed by one float64 product of its x rows of xw against its y masks,
-    laid out x-major at edges[p] - edges[first] (see _matched_pairs).  The
+    side.xw holds the position vectors of x.flat times sign * W
+    (MaskTables.coupling), so the digits sum to xw[u] . yb[v] +
+    ((2t+1)^half - 1) / 2.  Each matched profile pair p is keyed by one
+    float64 product of its x rows of xw against its y masks, laid out
+    x-major from the key position edges[p] - edges[heads[g]].  The
     product is exact: every partial sum is an integer of size at most
     2t sum_m (2t+1)^(half-m), 2.1e14 at t = 19, below 2^53.  The group
     offset passes 2^53 by t = 17, so it is added in int64.  Returns the
-    keys and a function that maps key positions back to the x mask,
-    y mask, y period and pair of their rows.
+    sorted keys, their key positions and a function that maps key
+    positions back to the x mask, y mask, y period and pair of a row.
     """
     base = (2 * t + 1) ** ((t - 1) // 2)
-    at = edges[first:stop] - edges[first]
-    coupling = np.empty(edges[stop] - edges[first])
-    xs, nx = x.starts[px[first:stop]], x.sizes[px[first:stop]]
-    ys, ny = y.starts[py[first:stop]], y.sizes[py[first:stop]]
+    x, y = side.x, side.y
+    first, stop = side.heads[g], side.heads[h]
+    at = side.edges[first:stop] - side.edges[first]
+    coupling = np.empty(side.edges[stop] - side.edges[first])
+    xs, nx = x.starts[side.px[first:stop]], x.sizes[side.px[first:stop]]
+    ys, ny = y.starts[side.py[first:stop]], y.sizes[side.py[first:stop]]
     for k, i, n, j, m in zip(at.tolist(), xs.tolist(), nx.tolist(), ys.tolist(), ny.tolist()):
-        np.dot(xw[i : i + n], yb[j : j + m].T, out=coupling[k : k + n * m].reshape(n, m))
+        np.dot(side.xw[i : i + n], side.yb[j : j + m].T, out=coupling[k : k + n * m].reshape(n, m))
     keys = coupling.astype(np.int64)
     del coupling
+    group = np.repeat(np.arange(h - g), np.diff(side.heads[g : h + 1]))
     keys += np.repeat(group * base + base // 2, nx * ny)
+    order = np.argsort(keys)
 
     def rows_at(pos):
         q = np.searchsorted(at, pos, side="right") - 1
@@ -284,7 +307,7 @@ def _side_keys(
         iy = ys[q] + j
         return x.flat[xs[q] + i], y.flat[iy], y.periods[iy], first + q
 
-    return keys, rows_at
+    return keys[order], order, rows_at
 
 
 def _valid_shifts(t: int, forb: int, masks, periods):
@@ -301,80 +324,61 @@ def _valid_shifts(t: int, forb: int, masks, periods):
 
 def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     """Mask 4-tuples satisfying all row conditions for one assignment and
-    its mirror.
+    its mirror, with their totals.
 
     k1, k2, k3 and k0 are the class sizes the assignment gives classes
     1, 2, 3 and 0; the join reads the catalogs of classes 1 and 3 and
     the necklace representatives of classes 2 and 0 (see the module
     docstring).  Returns one (masks (n, 4), recipe count, solution
-    recipe count, candidates checked) for the assignment and, when
-    k3 != k0, one more for its mirror (k1, k2, k0, k3), which is never
-    keyed.  Profiles are matched first: an A profile pair (classes 1,
-    2) meets a B pair (classes 3, 0) when its code sum equals t in every
-    digit minus the B pair's codes, and each such meeting is one recipe;
-    the solution recipes are the distinct meetings among the hits.  Only
-    matched pairs are keyed, in batches of whole groups holding at most
-    _CHUNK_ROWS A rows (a larger group is a batch of its own), and
-    joined on (group, coupling scores); the keys come from one float64
-    product per matched profile pair (see _side_keys), and a row is
-    built from its key position only when its key matches.
+    recipe count, candidates checked) for the assignment together with,
+    when k3 != k0, its mirror (k1, k2, k0, k3), which is never keyed.
+    Profiles are matched first: an A profile pair (classes 1, 2) meets
+    a B pair (classes 3, 0) when its code sum equals t in every digit
+    minus the B pair's codes, and each such meeting is one recipe.  The
+    mirror maps meetings and candidates one to one, so those counts are
+    the assignment's times the sides; the solution recipes are the
+    distinct (meeting, side) among the hits.  Only matched pairs are
+    keyed, in batches of whole groups holding at most _CHUNK_ROWS A rows
+    (a larger group is a batch of its own), and joined on (group,
+    coupling scores); the keys come from one float64 product per matched
+    profile pair (see _side_keys), and a row is built from its key
+    position only when its key matches.
     Each matched (A row, B row) stands for its valid rotations on either
     side, the candidates it counts.  One row_test_batch call per batch
     tests every match, and its mirror, against each rotation d of its B
     row that stands for a candidate, and each passing (match, d) gives
     the hits with A rotated by -r and B by d - r, over the r valid on
-    both sides.  The mirror keeps the recipe, candidate and valid-shift
-    counts, but its verdict is not proven to be the match's, so its
-    rows are tested too.
+    both sides.  The mirror keeps the valid shifts, but its verdict is
+    not proven to be the match's, so its rows are tested too.
     """
     tables = mask_tables(t)
-    half = tables.half
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
     c3, n0 = class_masks(t, k3), necklace_masks(t, k0)
     # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
     # so a pair's digit sums stay below the base t + 1 and t minus a
     # pair's digits stays positive; no carry or borrow can occur.
-    full = (t + 1) ** half - 1
+    full = (t + 1) ** tables.half - 1
     acodes = (c1.codes[:, None] + n2.codes[None, :]).ravel()
     bcodes = (full - c3.codes[:, None] - n0.codes[None, :]).ravel()
     sums = np.intersect1d(acodes, bcodes)
-    a1p, a2p, agroup, aedges = _matched_pairs(c1, n2, acodes, sums)
-    b3p, b0p, bgroup, bedges = _matched_pairs(c3, n0, bcodes, sums)
-    recipe_count = int(
-        np.dot(np.bincount(agroup, minlength=len(sums)), np.bincount(bgroup, minlength=len(sums)))
-    )
-    # First pair of each group on either side, and the A row offsets.
-    bounds = np.arange(len(sums) + 1)
-    apos = np.searchsorted(agroup, bounds)
-    bpos = np.searchsorted(bgroup, bounds)
-    arow = aedges[apos]
-    aw = _position_bits(t, c1.flat) @ tables.coupling
-    bw = _position_bits(t, c3.flat) @ -tables.coupling
-    ab, bb = _position_bits(t, n2.flat), _position_bits(t, n0.flat)
+    a = _join_side(t, c1, n2, acodes, sums, tables.coupling)
+    b = _join_side(t, c3, n0, bcodes, sums, -tables.coupling)
+    recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
+    arow = a.edges[a.heads]
     # Side 0 is the assignment, side 1 its mirror when it has one.
     sides = 2 if k3 != k0 else 1
     flip = np.array([0, (1 << t) - 1, 0, 0])
 
     shifts = np.arange(t)
     hits = [np.empty((0, 4), dtype=np.int64)]
-    hit_sides = [np.empty(0, dtype=np.int64)]
     hit_recipes = [np.empty(0, dtype=np.int64)]
-    checked = 0
-    g = 0
+    checked = g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
-        bkey, brows = _side_keys(
-            t, c3, n0, bw, bb, b3p, b0p, bgroup[bpos[g] : bpos[h]] - g, bedges, bpos[g], bpos[h]
-        )
-        border = np.argsort(bkey)
-        bkey = bkey[border]
-        akey, arows = _side_keys(
-            t, c1, n2, aw, ab, a1p, a2p, agroup[apos[g] : apos[h]] - g, aedges, apos[g], apos[h]
-        )
+        bkey, border, brows = _side_keys(t, b, g, h)
+        akey, aorder, arows = _side_keys(t, a, g, h)
         # Sorted probes walk bkey in order, which is several times
         # faster than probing it at random.
-        aorder = np.argsort(akey)
-        akey = akey[aorder]
         first = np.searchsorted(bkey, akey, side="left")
         cnt = np.searchsorted(bkey, akey, side="right") - first
         nz = np.nonzero(cnt)[0]
@@ -411,17 +415,12 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
         s, i, sa, sb = s[k], i[k], (t - r) % t, (d[k] - r) % t
         hits.append(rotate(t, rows[s, i], np.stack([sa, sa, sb, sb], axis=1)))
-        hit_sides.append(s)
         # The mirror maps recipes one to one, so a hit counts its match's
         # recipe, kept apart by side.
-        hit_recipes.append((apair[i] * len(b3p) + bpair[i]) * sides + s)
+        hit_recipes.append((apair[i] * len(b.px) + bpair[i]) * sides + s)
         g = h
-    hits, hit_sides = np.concatenate(hits), np.concatenate(hit_sides)
-    solution_recipes = np.bincount(np.unique(np.concatenate(hit_recipes)) % sides, minlength=sides)
-    return tuple(
-        (hits[hit_sides == s], recipe_count, int(solution_recipes[s]), checked)
-        for s in range(sides)
-    )
+    solution_recipes = len(np.unique(np.concatenate(hit_recipes)))
+    return np.concatenate(hits), sides * recipe_count, solution_recipes, sides * checked
 
 
 def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
@@ -455,20 +454,15 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     only what it has certified itself.
     """
     sizes = {entry: entry_class_size(t, entry) for entry in distribution.entries}
-    rows = []
-    recipe_count = solution_recipe_count = checked = 0
-    # Every assignment with k3 < k0 is the mirror of (k1, k2, k0, k3),
-    # also an assignment, and _join_assignment returns it with that one.
-    for k1, k2, k3, k0 in (tuple(sizes[e] for e in a) for a in distribution.assignments()):
-        if k3 < k0:
-            continue
-        for masks, n_recipes, n_solution_recipes, n_checked in _join_assignment(t, k1, k2, k3, k0):
-            rows.append(masks)
-            recipe_count += n_recipes
-            # Assignments differ in some class budget, so no recipe
-            # repeats across them.
-            solution_recipe_count += n_solution_recipes
-            checked += n_checked
+    # Each assignment with k3 < k0 is the mirror of (k1, k2, k0, k3) and
+    # is joined with it.  Assignments differ in some class budget, so no
+    # recipe repeats across them.
+    joins = [
+        _join_assignment(t, k1, k2, k3, k0)
+        for k1, k2, k3, k0 in (tuple(sizes[e] for e in a) for a in distribution.assignments())
+        if k3 >= k0
+    ]
+    rows, recipe_counts, solution_recipe_counts, checked = zip(*joins)
     # Subsets are built once the joins are done: at t = 13 building and
     # sorting the 8424 subsets takes ~0.13 s, and built between joins
     # they raised the peak RSS from 61.8 to 63.5 MB.
@@ -482,11 +476,11 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     report = DistributionReport(
         distribution=distribution,
         ingredient_counts=tuple(len(class_masks(t, sizes[e]).codes) for e in distribution.entries),
-        recipe_count=recipe_count,
-        solution_recipe_count=solution_recipe_count,
+        recipe_count=sum(recipe_counts),
+        solution_recipe_count=sum(solution_recipe_counts),
         solutions=tuple(SolutionRecord(subset) for subset in subsets),
     )
-    return report, checked
+    return report, sum(checked)
 
 
 def run_search(
@@ -560,9 +554,15 @@ def verify_matrix_file(path) -> tuple[int, bool]:
     Returns (t, verdict).  A false verdict is a result, not an error;
     malformed input raises MatrixFormatError with the offending line.
     The bytes are decoded as UTF-8 with no newline translation, so a
-    "\r" reaches parse_matrix as the invalid character it is.
+    "\r" reaches parse_matrix as the invalid character it is, and a
+    byte that is not UTF-8 fails on its line.
     """
-    text = Path(path).read_bytes().decode("utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MatrixFormatError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
     t, matrix = parse_matrix(text)
     return t, is_hadamard_direct(matrix)
 

@@ -134,6 +134,15 @@ def test_verify_rejects_foreign_line_ends(tmp_path, capsys, newline):
     assert captured.err.startswith("error: line 1: ")
 
 
+def test_verify_names_the_line_of_a_non_utf8_byte(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"t=3\n+\xff+\n")
+    assert main(["verify", str(bad)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: byte 0xff is not UTF-8\n"
+
+
 def test_malformed_matrix_exits_with_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("t=3\n+++\n")

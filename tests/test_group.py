@@ -1,8 +1,11 @@
 """Element ordering and arithmetic of Z_t x Z_2 x Z_2."""
 
+import re
+
 import numpy as np
 import pytest
 
+from cochad.distributions import enumerate_distributions
 from cochad.group import (
     GroupContext,
     GroupElement,
@@ -12,6 +15,7 @@ from cochad.group import (
     inverse,
     multiply,
 )
+from cochad.search import run_search
 
 
 def test_context_validation():
@@ -20,6 +24,19 @@ def test_context_validation():
     for t in (1, 2, 4, 0, -3):
         with pytest.raises(ValueError):
             GroupContext(t)
+
+
+def test_context_rejects_non_integers():
+    # A float t passes the odd test, so it would give float orders and
+    # budgets and a numpy TypeError deep in the search.
+    assert GroupContext(np.int64(5)).order == 20
+    for t in (5.0, np.float64(9.0), 7.5, "5"):
+        for make in (GroupContext, enumerate_distributions, run_search):
+            message = f"^t must be an integer, got {re.escape(repr(t))}$"
+            with pytest.raises(ValueError, match=message):
+                make(t)
+    with pytest.raises(ValueError, match="^t must be odd and >= 3, got 4$"):
+        GroupContext(4)
 
 
 def test_index_spot_values():

@@ -172,11 +172,11 @@ def test_join_batches_do_not_change_results(monkeypatch):
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
     size_of = {id(cat(9, k)): k for cat in (class_masks, necklace_masks) for k in range(5)}
 
-    def side_keys(t, x, y, xw, yb, px, py, group, edges, first, stop):
-        events.append((size_of[id(x)], size_of[id(y)]))
-        keys, rows_at = real_keys(t, x, y, xw, yb, px, py, group, edges, first, stop)
-        batches.append((len(np.unique(group)), len(keys)))
-        return keys, rows_at
+    def side_keys(t, side, g, h):
+        events.append((size_of[id(side.x)], size_of[id(side.y)]))
+        keys, order, rows_at = real_keys(t, side, g, h)
+        batches.append((h - g, len(keys)))
+        return keys, order, rows_at
 
     def row_test_batch(tables, *cols):
         events.append(np.broadcast(*cols).size)
@@ -226,28 +226,34 @@ def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
 def test_side_keys_match_digit_keys(t):
     # The keys of one float64 product per matched profile pair must equal
     # the keys packed digit by digit, for every odd t the int64 key can
-    # hold.  Group ids run up to _CHUNK_ROWS - 1, the most a batch can
-    # hold, so the int64 group part is covered at t = 17 and 19, beyond
-    # the search's cap.  Uncached tables: t = 19 needs ~60 MB.
+    # hold.  Batch-local group ids run up to _CHUNK_ROWS - 1, the most a
+    # batch can hold, so the int64 group part is covered at t = 17 and
+    # 19, beyond the search's cap.  Uncached tables: t = 19 needs ~60 MB.
     tables = MaskTables(t)
     rng = np.random.default_rng(t)
     x, y = _seeded_catalog(rng, t, 40), _seeded_catalog(rng, t, 30)
-    npairs, first, stop = 300, 7, 290
+    # Groups g .. h - 1 form the batch, with pairs before and after it;
+    # seeded group ids leave some groups empty.
+    npairs, g, h = 300, 3, 3 + cochad.search._CHUNK_ROWS
     px, py = rng.integers(0, 40, size=npairs), rng.integers(0, 30, size=npairs)
-    group = rng.integers(0, cochad.search._CHUNK_ROWS, size=stop - first)
-    group[:2] = cochad.search._CHUNK_ROWS - 1
+    group = np.sort(rng.integers(g, h, size=npairs))
+    group[:7], group[-10:-8], group[-8:] = [0, 0, 1, 1, 1, 2, 2], h - 1, h + 1
+    heads = np.searchsorted(group, np.arange(h + 3))
+    first, stop = heads[g], heads[h]
     edges = np.zeros(npairs + 1, dtype=np.int64)
     np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
     yb = cochad.search._position_bits(t, y.flat)
     for sign in (1, -1):
         xw = cochad.search._position_bits(t, x.flat) @ (sign * tables.coupling)
-        keys, rows_at = cochad.search._side_keys(
-            t, x, y, xw, yb, px, py, group, edges, first, stop
-        )
-        u, v, per, pair = rows_at(np.arange(len(keys)))
-        assert np.array_equal(keys, coupling_key(tables, group[pair - first], u, v, sign))
+        side = cochad.search._JoinSide(x, y, xw, yb, px, py, heads, edges)
+        keys, order, rows_at = cochad.search._side_keys(t, side, g, h)
+        assert (np.diff(keys) >= 0).all()
+        u, v, per, pair = rows_at(order)
+        assert np.array_equal(keys, coupling_key(tables, group[pair] - g, u, v, sign))
         assert np.array_equal(per, 3 * v + 1)
         # Pair p's keys sit at edges[p] - edges[first] onward.
+        assert np.array_equal(np.sort(order), np.arange(len(keys)))
+        u, v, _, pair = rows_at(np.arange(len(keys)))
         spans = np.diff(edges[first : stop + 1])
         assert np.array_equal(pair, np.repeat(np.arange(first, stop), spans))
         # Every row of every pair, each once.
@@ -280,6 +286,17 @@ def _tested_orbits(monkeypatch, t, side, join):
     return np.unique(packed.min(axis=1)), result
 
 
+def _split_sides(t, k3, result):
+    """The hits of a mirror pair's join, split into those of the
+    assignment with class-3 size k3 and those of its mirror, and each
+    part's count of distinct recipes by recipe_of."""
+    hits = result[0]
+    own = np.isin(np.bitwise_count(hits[:, 2]), (k3, t - k3))
+    parts = hits[own], hits[~own]
+    recipes = [len({recipe_of(s) for s in _subsets_of_rows(t, part)[0]}) for part in parts]
+    return parts, recipes
+
+
 @pytest.mark.parametrize(
     "t, mirrors, hit_rows", [(3, 1, 6), (5, 2, 40), (7, 2, 210), (9, 5, 810), (11, 5, 1100)]
 )
@@ -288,14 +305,16 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
     # negates both coupling terms and keeps every forbidden position, so
     # it maps the join of (e1, e2, e3, e0) one to one onto that of
     # (e1, e2, e0, e3): the first's hits go exactly onto the second's,
-    # with the same counts.  The join of the first returns the second's
-    # results without keying it; they must equal a direct join of the
-    # second on its own catalogs.  The rows each route row-tests for the
-    # second may be different representatives, but of the same
-    # joint-rotation orbits.  The hits alone cannot tell a wrong map:
-    # every solution found so far also passes with class 2 left as it is
-    # (ROADMAP item 5).  mirrors counts the pairs, hit_rows the hits of
-    # their first assignments.
+    # with the same counts.  The join of the first also returns the
+    # second's hits without keying it, in one result for the pair; its
+    # class-3 sizes tell the two apart, since k3 != k0 are both at most
+    # t / 2.  They must equal a direct join of the second on its own
+    # catalogs.  The rows each route row-tests for the second may be
+    # different representatives, but of the same joint-rotation orbits.
+    # The hits alone cannot tell a wrong map: every solution found so
+    # far also passes with class 2 left as it is (ROADMAP item 5).
+    # mirrors counts the pairs, hit_rows the hits of their first
+    # assignments.
     found = rows = 0
     for dist in enumerate_distributions(t):
         for assignment in dist.assignments():
@@ -304,15 +323,20 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
                 continue
             found += 1
             join = cochad.search._join_assignment
-            mapped, (own, mirror) = _tested_orbits(monkeypatch, t, 1, lambda: join(t, k1, k2, k3, k0))
-            tested, (direct, _) = _tested_orbits(monkeypatch, t, 0, lambda: join(t, k1, k2, k0, k3))
+            mapped, result = _tested_orbits(monkeypatch, t, 1, lambda: join(t, k1, k2, k3, k0))
+            tested, partner = _tested_orbits(monkeypatch, t, 0, lambda: join(t, k1, k2, k0, k3))
             assert np.array_equal(mapped, tested)
-            # Hits, then recipe, solution recipe and candidate counts.
-            assert own[1:] == mirror[1:] == direct[1:]
-            flipped = own[0][:, [0, 1, 3, 2]] ^ [0, (1 << t) - 1, 0, 0]
-            assert sorted(map(tuple, flipped.tolist())) == sorted(map(tuple, direct[0].tolist()))
-            assert sorted(map(tuple, mirror[0].tolist())) == sorted(map(tuple, direct[0].tolist()))
-            rows += len(own[0])
+            (own, mirror), (own_recipes, mirror_recipes) = _split_sides(t, k3, result)
+            (direct, _), (direct_recipes, _) = _split_sides(t, k0, partner)
+            # Recipe, solution recipe and candidate counts of the pair,
+            # and each side's solution recipes.
+            assert result[1:] == partner[1:]
+            assert own_recipes == mirror_recipes == direct_recipes
+            assert result[2] == own_recipes + mirror_recipes
+            flipped = own[:, [0, 1, 3, 2]] ^ [0, (1 << t) - 1, 0, 0]
+            assert sorted(map(tuple, flipped.tolist())) == sorted(map(tuple, direct.tolist()))
+            assert sorted(map(tuple, mirror.tolist())) == sorted(map(tuple, direct.tolist()))
+            rows += len(own)
     assert (found, rows) == (mirrors, hit_rows)
 
 
