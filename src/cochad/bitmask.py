@@ -18,7 +18,11 @@ The zero-sum condition for a row of the assembled matrix is then a small
 integer identity per rotation shift m.  row_test_batch is the one
 executable statement of those identities: the search runs its joined
 candidates through it and brute force runs every canonical subset
-through it.  join_classes turns rows of four class masks back into
+through it.  Its leading checks run on the operands' broadcast shape,
+each pair term at the shape of its own two operands, so outer-product
+operands (as brute force passes) cost one compare per row there; only
+the survivors' masks are then gathered, and the remaining checks run on
+them alone.  join_classes turns rows of four class masks back into
 the subsets' index membership.  The readable reference implementation
 lives in the paths module, and tests hold both to the direct
 orthogonality test.
@@ -26,6 +30,7 @@ orthogonality test.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -162,38 +167,67 @@ PAIR_ORDER = {
 }
 
 
+def _row_check(tables: MaskTables, m: int, residue: int, u) -> np.ndarray:
+    """One row condition of row_test_batch: residue's rows at shift m.
+
+    u maps each class to its masks.  Each side of the compare is computed
+    at the broadcast shape of its own operands; only the compare runs at
+    the shape of all four.
+    """
+    if residue == 1:
+        runs = tables.runs[m]
+        return runs[u[1]] + runs[u[2]] == tables.t - runs[u[3]] - runs[u[0]]
+    (a, b), (c, d) = PAIR_ORDER[residue]
+    return pair_ci(tables, u[a], u[b], m) == -pair_ci(tables, u[c], u[d], m)
+
+
 def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
     """Vectorized zero-row-sum test over rows 5..2t+2 for class masks.
 
     Accepts scalars or broadcastable arrays and returns a boolean scalar
-    or array.  True means every tested row of the assembled matrix sums
-    to zero, i.e. the subset is a Hadamard solution: at every shift m
-    the coupled pairs of PAIR_ORDER balance and the four head counts
-    total t.
+    or array of their broadcast shape.  True means every tested row of
+    the assembled matrix sums to zero, i.e. the subset is a Hadamard
+    solution: at every shift m the coupled pairs of PAIR_ORDER balance
+    and the four head counts total t.
 
-    Each check runs only on the survivors of the checks before it, and
-    the test stops once none survive.  Per shift the residue-3 and
-    residue-0 pairs go first, then the residue-2 pair, then the residue-1
-    head total; the order is for cost only and does not change the
-    result.
+    Per shift the residue-3 and residue-0 pairs go first, then the
+    residue-2 pair, then the residue-1 head total; the order is for cost
+    only and does not change the result.  The leading checks run on the
+    operands as given, each pair term at the broadcast shape of its own
+    two operands, and only the compare at the shape of all four, so an
+    outer product of masks (as brute_force passes) is never built.  Once
+    no more rows survive than the largest pair term has entries, the
+    survivors' masks are gathered, each later check runs only on the
+    survivors of the checks before it, and the test stops once none
+    survive.  Operands with one entry per row, as the search passes,
+    are gathered after the first check.
     """
-    t = tables.t
-    cols = np.broadcast_arrays(*(np.asarray(s, dtype=np.int64) for s in (s1, s2, s3, s0)))
-    shape = cols[0].shape
-    # Row col(c) holds the survivors' masks of class c.
-    masks, col = np.stack([c.ravel() for c in cols]), CLASS_ORDER.index
-    alive = np.arange(cols[0].size)
-    for m, residue in product(range(1, tables.half + 1), (3, 0, 2, 1)):
+    ops = dict(zip(CLASS_ORDER, (np.asarray(s, dtype=np.int64) for s in (s1, s2, s3, s0))))
+    shape = np.broadcast_shapes(*(u.shape for u in ops.values()))
+    rows = shape or (1,)
+    # A check on the operands as given costs at least its largest pair
+    # term, one on gathered survivors about as much as the survivors.
+    term = max(
+        math.prod(np.broadcast_shapes(ops[a].shape, ops[b].shape))
+        for pairs in PAIR_ORDER.values()
+        for a, b in pairs
+    )
+    checks = product(range(1, tables.half + 1), (3, 0, 2, 1))
+    keep = np.ones(rows, dtype=bool)
+    for m, residue in checks:
+        keep &= _row_check(tables, m, residue, ops)
+        if np.count_nonzero(keep) <= term:
+            break
+    alive = np.flatnonzero(keep)
+    at = np.unravel_index(alive, rows)
+    # Row j holds the survivors' masks of class CLASS_ORDER[j].
+    masks = np.stack([np.broadcast_to(ops[c], rows)[at] for c in CLASS_ORDER])
+    for m, residue in checks:
         if not alive.size:
             break
-        if residue == 1:
-            keep = tables.runs[m][masks].sum(axis=0) == t
-        else:
-            terms = (pair_ci(tables, masks[col(a)], masks[col(b)], m) for a, b in PAIR_ORDER[residue])
-            keep = sum(terms) == 0
-        keep = np.flatnonzero(keep)
+        keep = np.flatnonzero(_row_check(tables, m, residue, dict(zip(CLASS_ORDER, masks))))
         alive = alive[keep]
         masks = masks[:, keep]
-    ok = np.zeros(cols[0].size, dtype=bool)
-    ok[alive] = True
+    ok = np.zeros(rows, dtype=bool)
+    ok.flat[alive] = True
     return ok.reshape(shape) if shape else bool(ok[0])

@@ -90,10 +90,12 @@ only what it has certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
-one (class 1, class 2) slab at a time, as a ground truth for the
-search's pruning at small t; its mask rows become subsets the same
-way.  Matrices travel as plain text (see format_matrix) so results can
-be exported, reloaded and re-verified.
+as a ground truth for the search's pruning at small t.  Each call gets
+one class-1 mask and a slab of class-2 masks against all class-3 and
+class-0 masks, as operands that broadcast to their outer product, so
+the row test settles most rows before it builds any; the passing mask
+rows become subsets the same way.  Matrices travel as plain text (see
+format_matrix) so results can be exported, reloaded and re-verified.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,6 +160,14 @@ _CERTIFY_BATCH = 64
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
 _BRUTE_LIMIT_BITS = 25
+
+# Each row_test_batch call of brute_force tests one class-1 mask against
+# a slab of class-2 masks and all of D3 x D0, about this many rows: 64
+# class-2 masks and 128 calls at t = 7.  Measured by one perfbench
+# brute_t7 run each, 2 cores: 2^16, 2^17, 2^18 and 2^19 rows take 0.50,
+# 0.29, 0.25 and 0.28 s at 38.2, 38.1, 37.6 and 38.1 MB peak RSS, where
+# one call per (class 1, class 2) pair took 2.07 s at 37.6 MB.
+_BRUTE_SLAB_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -490,18 +501,24 @@ def run_search(
 
     distribution restricts the run to one distribution by its position
     in enumerate_distributions(t); jobs > 1 spreads distributions over
-    worker processes, at most one per distribution and per CPU.  Every
-    reported solution is certified with the direct orthogonality test.
+    worker processes, at most one per distribution and per CPU.  Both
+    must be integers, as t must: numpy integers pass, floats do not.
+    Every reported solution is certified with the direct orthogonality
+    test.
     """
     validate_t(t)
     if t > _JOIN_LIMIT_T:
         raise ResourceLimitError(f"search is capped at t={_JOIN_LIMIT_T}, got t={t}")
+    if not isinstance(jobs, Integral):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     everything = enumerate_distributions(t)
     if distribution is None:
         selected = everything
     else:
+        if not isinstance(distribution, Integral):
+            raise ValueError(f"distribution index must be an integer, got {distribution!r}")
         if not 0 <= distribution < len(everything):
             raise ValueError(
                 f"distribution index {distribution} outside [0, {len(everything)})"
@@ -523,7 +540,10 @@ def brute_force(t: int) -> BruteForceReport:
     """Scan every canonical subset with the packed-bit row test.
 
     The space has 2^(4t-3) subsets (three indices are never used); the
-    scan is capped at 2^25, i.e. t = 7.
+    scan is capped at 2^25, i.e. t = 7.  Each row_test_batch call gets
+    one class-1 mask, a slab of class-2 masks and the class-3 and
+    class-0 domains as operands that broadcast to their outer product
+    (see _BRUTE_SLAB_ROWS), which the row test never builds.
     """
     validate_t(t)
     bits = 4 * t - 3
@@ -537,15 +557,14 @@ def brute_force(t: int) -> BruteForceReport:
         xs if (forb := forbidden_position(cls, t)) is None else xs[(xs >> forb) & 1 == 0]
         for cls in CLASS_ORDER
     )
-    grid3 = np.repeat(d3, len(d0))
-    grid0 = np.tile(d0, len(d3))
-    found: list[tuple[int, int, int, int]] = []
+    run = max(1, _BRUTE_SLAB_ROWS // (len(d3) * len(d0)))
+    found = []
     for m1 in d1.tolist():
-        for m2 in d2.tolist():
-            ok = row_test_batch(tables, m1, m2, grid3, grid0)
-            for m3, m0 in zip(grid3[ok].tolist(), grid0[ok].tolist()):
-                found.append((m1, m2, m3, m0))
-    return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, found)[0]))
+        for lo in range(0, len(d2), run):
+            slab2 = d2[lo : lo + run]
+            i2, i3, i0 = np.nonzero(row_test_batch(tables, m1, slab2[:, None, None], d3[:, None], d0))
+            found.append(np.stack([np.full_like(i2, m1), slab2[i2], d3[i3], d0[i0]], axis=1))
+    return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, np.concatenate(found))[0]))
 
 
 def verify_matrix_file(path) -> tuple[int, bool]:

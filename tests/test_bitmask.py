@@ -200,6 +200,55 @@ def test_row_test_batch_matches_direct():
     assert hadamard == 24 + 120
 
 
+# Operand shapes in CLASS_ORDER (s1, s2, s3, s0): brute force's outer
+# product, scalars mixed with arrays of unequal ndim, size-1 axes, a
+# zero-length axis and all scalars.
+_BROADCAST_SHAPES = (
+    ((), (3, 1, 1), (4, 1), (5,)),
+    ((2, 1, 3), (), (1, 3), ()),
+    ((1,), (4, 1), (1, 1), (4, 6)),
+    ((6,), (6,), (6,), (6,)),
+    ((0, 1), (), (1, 5), (5,)),
+    ((), (), (), ()),
+)
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_row_test_batch_broadcasts(t):
+    # Broadcast operands give the verdicts of their materialized rows, at
+    # the broadcast shape.  Each operand is random masks with its last
+    # and first entries taken from two brute-force solutions, so the
+    # first row of every non-empty case passes, and the last row too
+    # when no operand has a single entry.
+    tables = mask_tables(t)
+    solutions = [split_classes(t, s.indices) for s in brute_force(t).solutions]
+    rng = np.random.default_rng(t)
+    verdicts = set()
+    for shapes in _BROADCAST_SHAPES:
+        first, last = (solutions[i] for i in rng.choice(len(solutions), 2))
+        ops = []
+        for cls, shape in zip(CLASS_ORDER, shapes):
+            op = rng.integers(0, 1 << t, size=shape)
+            if op.size:
+                op.flat[-1] = last[cls]
+                op.flat[0] = first[cls]
+            ops.append(op if shape else int(op))
+        shape = np.broadcast_shapes(*shapes)
+        got = row_test_batch(tables, *ops)
+        flat = row_test_batch(tables, *(np.broadcast_to(op, shape).ravel() for op in ops))
+        if not shape:
+            assert type(got) is bool and flat.shape == (1,)
+            assert got is bool(flat[0]) is True
+            continue
+        assert got.dtype == bool and got.shape == shape
+        assert np.array_equal(got.ravel(), flat)
+        if got.size:
+            assert got.flat[0]
+            assert got.flat[-1] or min(np.size(op) for op in ops) == 1
+        verdicts.update(got.ravel().tolist())
+    assert verdicts == {True, False}
+
+
 def test_row_test_batch_is_rotation_invariant():
     # Rotating all four class masks by one s rotates every term of every
     # row check, so the verdict stands; the search's join tests a key

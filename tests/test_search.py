@@ -65,6 +65,40 @@ def test_brute_force_t5():
     assert report.counts_by_distribution() == {(3, 3, 2, 2): 120}
 
 
+@pytest.mark.parametrize("t, calls", [(3, 4), (5, 16)])
+def test_brute_force_calls_cover_the_space(monkeypatch, t, calls):
+    # The row-test calls of the raw scan, packed as (u1, u2, u3, u0)
+    # tuples, cover every canonical tuple exactly once: class 1 avoids
+    # position 0, classes 3 and 0 avoid position t - 1.  Each call passes
+    # broadcast operands, none of them the size of its rows, in one call
+    # per class-1 mask.
+    real = cochad.search.row_test_batch
+    seen = []
+
+    def recording(tables, *cols):
+        cols = [np.asarray(c, dtype=np.int64) for c in cols]
+        size = np.broadcast_shapes(*(c.shape for c in cols))
+        assert max(c.size for c in cols) < np.prod(size)
+        seen.append(np.broadcast_arrays(*cols))
+        return real(tables, *cols)
+
+    monkeypatch.setattr(cochad.search, "row_test_batch", recording)
+    report = brute_force(t)
+    assert len(seen) == calls
+    assert sum(cols[0].size for cols in seen) == report.space
+    packed = np.concatenate(
+        [((u1 << 3 * t) | (u2 << 2 * t) | (u3 << t) | u0).ravel() for u1, u2, u3, u0 in seen]
+    )
+    quads = np.arange(1 << 4 * t, dtype=np.int64)
+    canonical = quads[
+        (((quads >> 3 * t) & 1) == 0)
+        & (((quads >> (2 * t - 1)) & 1) == 0)
+        & (((quads >> (t - 1)) & 1) == 0)
+    ]
+    assert len(canonical) == report.space
+    assert np.array_equal(np.sort(packed), canonical)
+
+
 def test_brute_force_limits():
     with pytest.raises(ResourceLimitError):
         brute_force(9)
@@ -451,8 +485,24 @@ def test_search_argument_errors():
         run_search(17)
     with pytest.raises(ValueError):
         run_search(3, distribution=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("jobs must be >= 1, got 0")):
         run_search(3, jobs=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"jobs": 1.5}, {"jobs": 2.0}, {"distribution": 0.0}, {"distribution": "0"}]
+)
+def test_search_rejects_non_integral_arguments(kwargs):
+    # Checked before any work, so a float never reaches the worker pool
+    # (t = 9 has two distributions) or a tuple index.
+    (name, value), = kwargs.items()
+    label = "jobs" if name == "jobs" else "distribution index"
+    with pytest.raises(ValueError, match=re.escape(f"{label} must be an integer, got {value!r}")):
+        run_search(9, **kwargs)
+
+
+def test_search_accepts_numpy_integers():
+    assert run_search(5, distribution=np.int64(0), jobs=np.int32(1)) == run_search(5)
 
 
 def test_export_and_verify(tmp_path):
