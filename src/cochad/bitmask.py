@@ -158,12 +158,13 @@ def pair_ci(tables: MaskTables, a, b, m: int):
 
 # Coupled pair order (first, second) per row residue.  At rows 4m+2 the
 # classes chain as (1,2) and (3,0); at 4m+3 as (1,3) and (0,2); at 4m+4
-# as (1,0) and (3,2).  The second element of each pair carries the
-# overlap orientation.
+# as (1,0) and (2,3).  The second element of each pair carries the
+# overlap orientation, and a row sums to zero exactly when its two pair
+# terms cancel: row 4m+4 when pair_ci(u1, u0, m) + pair_ci(u2, u3, m) = 0.
 PAIR_ORDER = {
     2: ((1, 2), (3, 0)),
     3: ((1, 3), (0, 2)),
-    0: ((1, 0), (3, 2)),
+    0: ((1, 0), (2, 3)),
 }
 
 

@@ -272,18 +272,40 @@ def is_hadamard_direct(M: SignMatrix) -> bool | np.ndarray:
     return bool(ok) if M.ndim == 2 else ok
 
 
-def format_matrix(t: int, M: SignMatrix) -> str:
-    """Matrix text format: line 1 't=<t>', then 4t rows of 4t '+'/'-'."""
-    signs = np.where(np.asarray(M) > 0, ord("+"), ord("-"))
-    lines = np.column_stack([signs, np.full(len(signs), ord("\n"))]).astype(np.uint8)
-    return f"t={t}\n" + lines.tobytes().decode()
+def format_matrix(t: int, M: SignMatrix) -> str | list[str]:
+    """Matrix text format: line 1 't=<t>', then 4t rows of 4t '+'/'-'.
+
+    M is one matrix or a (k, rows, cols) stack of them; every row ends
+    in "\n", and an entry is '+' when it is positive.  The whole stack
+    becomes one uint8 grid of '+'/'-' bytes with a "\n" column, decoded
+    once and cut into one text per matrix.  Returns a str for one matrix
+    and a list of k texts for a stack.
+    """
+    M = np.asarray(M)
+    if M.ndim not in (2, 3):
+        raise ValueError(f"expected one matrix or a stack of them, got shape {M.shape}")
+    rows, cols = M.shape[-2:]
+    grid = np.full((*M.shape[:-1], cols + 1), ord("\n"), dtype=np.uint8)
+    grid[..., :cols] = np.where(M > 0, np.uint8(ord("+")), np.uint8(ord("-")))
+    head, size = f"t={t}\n", rows * (cols + 1)
+    body = grid.tobytes().decode("ascii")
+    if M.ndim == 2:
+        return head + body
+    return [head + body[i * size : (i + 1) * size] for i in range(len(M))]
 
 
 def parse_matrix(text: str) -> tuple[int, SignMatrix]:
     """Inverse of format_matrix; raises MatrixFormatError naming the line.
 
     Lines end at "\n" only: any other line-break character, "\r" among
-    them, is an invalid character of the line it sits on.
+    them, is an invalid character of the line it sits on.  The n = 4t
+    matrix rows are checked in one pass: joined with "\n" after each,
+    one byte per character (a non-ASCII one becomes "?"), they must
+    make n (n + 1) bytes whose first n columns, read as an (n, n + 1)
+    grid, hold only '+' and '-'.  No row holds a "\n", so the n "\n"
+    bytes then fill the last column, and the check holds exactly when
+    every row is n characters of '+'/'-'.  Only a file that fails it is
+    read row by row, to name its first bad line.
     """
     lines = text.removesuffix("\n").split("\n")
     if not text:
@@ -306,13 +328,16 @@ def parse_matrix(text: str) -> tuple[int, SignMatrix]:
     extra = [k for k, stray in enumerate(body[n:]) if stray.strip(" \t")]
     if extra:
         raise MatrixFormatError(f"line {n + 2 + extra[0]}: trailing content after {n} matrix rows")
-    out = np.empty((n, n), dtype=np.int8)
-    for k, line in enumerate(body[:n]):
+    rows = body[:n]
+    grid = np.frombuffer(("\n".join(rows) + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    if grid.size == n * (n + 1):
+        signs = grid.reshape(n, n + 1)[:, :n]
+        if np.all((signs == ord("+")) | (signs == ord("-"))):
+            return t, np.where(signs == ord("+"), np.int8(1), np.int8(-1))
+    for k, line in enumerate(rows):
         stray = set(line) - {"+", "-"}
         if stray:
             raise MatrixFormatError(f"line {k + 2}: invalid characters {sorted(stray)!r}")
         if len(line) != n:
             raise MatrixFormatError(f"line {k + 2}: expected {n} characters, found {len(line)}")
-        out[k] = np.frombuffer(line.encode(), dtype=np.uint8) == ord("+")
-    out = (2 * out.astype(np.int8) - 1).astype(np.int8)
-    return t, out
+    raise AssertionError("a row failed the grid check but no line was named")

@@ -59,10 +59,10 @@ representatives.  Four facts make this exact:
     and 0 share t - 1) and commutes with rotation.  So it maps the key
     matches of assignment (e1, e2, e3, e0) one to one onto those of
     (e1, e2, e0, e3), with the same valid rotations: u1 is kept, ~u2
-    has u2's period and u3 | u0 is symmetric.  But the mirror's
-    residue-3 and residue-0 sums are the match's (1,0)-(3,2) and
-    (1,3)-(0,2), not the sums the match is tested on, so a match and
-    its mirror are row-tested each on its own.
+    has u2's period and u3 | u0 is symmetric.  The mirror's residue-3
+    and residue-0 sums are the match's residue-0 and residue-3 sums
+    (bitmask.PAIR_ORDER), so its verdict is the match's; a match and
+    its mirror are still row-tested each on its own.
 
 So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
@@ -95,7 +95,9 @@ one class-1 mask and a slab of class-2 masks against all class-3 and
 class-0 masks, as operands that broadcast to their outer product, so
 the row test settles most rows before it builds any; the passing mask
 rows become subsets the same way.  Matrices travel as plain text (see
-format_matrix) so results can be exported, reloaded and re-verified.
+format_matrix) so results can be exported, reloaded and re-verified:
+the export assembles and formats a stack of solutions at a time, and
+verify_matrix_file parses one file and tests its matrix.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
@@ -123,7 +126,6 @@ from .bitmask import (
 from .cocyclic import (
     CoboundarySubset,
     MatrixFormatError,
-    assemble_cocyclic,
     assemble_members,
     format_matrix,
     is_hadamard_direct,
@@ -359,8 +361,8 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     tests every match, and its mirror, against each rotation d of its B
     row that stands for a candidate, and each passing (match, d) gives
     the hits with A rotated by -r and B by d - r, over the r valid on
-    both sides.  The mirror keeps the valid shifts, but its verdict is
-    not proven to be the match's, so its rows are tested too.
+    both sides.  The mirror keeps the valid shifts and the verdicts
+    (see the module docstring); its rows are tested all the same.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -604,8 +606,11 @@ def _write_atomic(target: Path, text: str) -> None:
 def export_solutions(report: SearchReport, directory) -> list[Path]:
     """Write one matrix file per solution plus a run summary.
 
-    File names carry t and a digest of the matrix text, so re-exporting
-    the same report overwrites byte-identical files.  The summary holds
+    Solutions are taken _CERTIFY_BATCH at a time, in report order: their
+    index membership rows become one stack of matrices (assemble_members)
+    and one format_matrix call gives their texts.  File names carry t
+    and a digest of the matrix text, so re-exporting the same report
+    overwrites byte-identical files.  The summary holds
     the per-distribution table and totals, nothing time-dependent.
     Every file is written atomically, so a failed export never leaves a
     partly written file behind.
@@ -615,13 +620,19 @@ def export_solutions(report: SearchReport, directory) -> list[Path]:
     lines = [f"t={report.t}", f"candidates checked: {report.candidates_checked}"]
     lines.extend(dist_report.summary_line() for dist_report in report.reports)
     lines.append(f"total hadamard: {report.hadamard_count}")
+    t, solutions = report.t, report.solutions()
     written = []
-    for record in report.solutions():
-        text = format_matrix(report.t, assemble_cocyclic(record.subset))
-        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        target = out_dir / f"t{report.t:02d}-{digest}.txt"
-        _write_atomic(target, text)
-        written.append(target)
+    for lo in range(0, len(solutions), _CERTIFY_BATCH):
+        batch = [record.subset.indices for record in solutions[lo : lo + _CERTIFY_BATCH]]
+        row = np.repeat(np.arange(len(batch)), [len(indices) for indices in batch])
+        col = np.fromiter(chain.from_iterable(batch), dtype=np.int64, count=len(row)) - 1
+        member = np.zeros((len(batch), 4 * t), dtype=bool)
+        member[row, col] = True
+        for text in format_matrix(t, assemble_members(t, member)):
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            target = out_dir / f"t{t:02d}-{digest}.txt"
+            _write_atomic(target, text)
+            written.append(target)
     lines.append(f"matrices written: {len(written)}")
     _write_atomic(out_dir / "report.txt", "\n".join(lines) + "\n")
     return written

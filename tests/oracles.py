@@ -13,7 +13,8 @@ same ingredients.  The module also keeps the class domains, which the
 search never builds: the masks a canonical subset may use in each
 class (class_domain), the termwise form of the coupled-pair
 conditions (pair_terms_vanish), and the join key digit by digit
-(coupling_key).
+(coupling_key).  parse_matrix_lines reads matrix text one line at a
+time, the reference for cocyclic.parse_matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from cochad.bitmask import (
     mask_tables,
     pair_ci,
 )
-from cochad.cocyclic import CoboundarySubset
+from cochad.cocyclic import CoboundarySubset, MatrixFormatError
 from cochad.distributions import Distribution, entry_class_size
 from cochad.group import GroupContext
 from cochad.recipes import ClassMasks, class_masks
@@ -217,3 +218,40 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
         per_class.append(side.flat[side.starts[i] : side.starts[i] + side.sizes[i]].tolist())
     for row in product(*per_class):
         yield CoboundarySubset(ctx, frozenset(joined_indices(t, row)))
+
+
+def parse_matrix_lines(text: str) -> tuple[int, np.ndarray]:
+    """cocyclic.parse_matrix one row at a time: each row line is checked
+    for stray characters, then for its length, then decoded.  The
+    reference for the parser's one-pass grid check and its messages."""
+    lines = text.removesuffix("\n").split("\n")
+    if not text:
+        raise MatrixFormatError("line 1: empty input, expected 't=<value>'")
+    head = lines[0]
+    if not head.startswith("t="):
+        raise MatrixFormatError(f"line 1: expected 't=<value>', got {head!r}")
+    try:
+        t = int(head[2:])
+    except ValueError:
+        raise MatrixFormatError(f"line 1: {head[2:]!r} is not an integer") from None
+    if head != f"t={t}":
+        raise MatrixFormatError(f"line 1: expected 't={t}', got {head!r}")
+    if t < 3 or t % 2 == 0:
+        raise MatrixFormatError(f"line 1: t must be odd and >= 3, got {t}")
+    n = 4 * t
+    body = lines[1:]
+    if len(body) < n:
+        raise MatrixFormatError(f"line {len(lines) + 1}: expected {n} matrix rows, found {len(body)}")
+    extra = [k for k, stray in enumerate(body[n:]) if stray.strip(" \t")]
+    if extra:
+        raise MatrixFormatError(f"line {n + 2 + extra[0]}: trailing content after {n} matrix rows")
+    out = np.empty((n, n), dtype=np.int8)
+    for k, line in enumerate(body[:n]):
+        stray = set(line) - {"+", "-"}
+        if stray:
+            raise MatrixFormatError(f"line {k + 2}: invalid characters {sorted(stray)!r}")
+        if len(line) != n:
+            raise MatrixFormatError(f"line {k + 2}: expected {n} characters, found {len(line)}")
+        out[k] = np.frombuffer(line.encode(), dtype=np.uint8) == ord("+")
+    out = (2 * out.astype(np.int8) - 1).astype(np.int8)
+    return t, out

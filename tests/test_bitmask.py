@@ -1,6 +1,7 @@
 """Packed-bit kernels against set-arithmetic oracles and the direct test."""
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cochad.bitmask import (
     CLASS_ORDER,
+    _row_check,
     forbidden_position,
     ingredient_counts,
     join_classes,
@@ -146,12 +148,14 @@ def test_pair_ci_vectorized_matches_scalar():
             assert int(vec[i]) == int(pair_ci(tables, int(a[i]), int(b[i]), m))
 
 
-# Class masks (1, 2, 3, 0) of t = 7 near misses.  Each passes every row
-# condition except one coupled pair of PAIR_ORDER at the rows 4m+2 or
-# 4m+3 (in order: (1, 2), (1, 3), (3, 0), (0, 2)), while the other pair
-# of its row is zero, so only that pair rejects it.  Found by scanning
-# all 2^25 canonical subsets; t <= 5 has none.  No canonical subset for
-# t <= 15 is such a near miss for one pair of the rows 4m+4.
+# Class masks (1, 2, 3, 0) of t = 7 near misses.  Each balances every
+# row 4m+1 and the rows of one of the residues 2 and 3.  On the rows of
+# the other, one coupled pair of PAIR_ORDER (in order: (1, 2), (1, 3),
+# (3, 0), (0, 2)) is nonzero while its partner is zero, and the rows
+# 4m+4 fail too; with the opposite sign on (2, 3) in the rows 4m+4,
+# that one pair alone would reject them.  No canonical subset for
+# t <= 7 fails one coupled pair alone (a scan of all 2^25 at t = 7), so
+# test_each_row_check_matches_its_row holds each condition to its row.
 _NEAR_MISSES_T7 = ((2, 46, 44, 44), (2, 46, 44, 46), (6, 6, 34, 43), (6, 34, 6, 45))
 
 
@@ -198,6 +202,30 @@ def test_row_test_batch_matches_direct():
             assert type(scalar) is bool and scalar == want[k]
         hadamard += sum(want)
     assert hadamard == 24 + 120
+
+
+def test_each_row_check_matches_its_row():
+    # Each condition of row_test_batch is one row of the assembled
+    # matrix: residue r at shift m holds exactly when row 4m + r (1-based;
+    # 4m + 4 for r = 0) sums to zero.  Whole verdicts cannot tell a
+    # wrong sign in one condition from the right one on these cases, so
+    # each condition is held to its row, and each meets both verdicts.
+    verdicts = {r: set() for r in (1, 2, 3, 0)}
+    for t, subsets in _row_test_cases().items():
+        if t > 11:
+            continue
+        ctx = GroupContext(t)
+        tables = mask_tables(t)
+        masks = [split_classes(t, idx) for idx in subsets]
+        u = {cls: np.array([m[cls] for m in masks], dtype=np.int64) for cls in CLASS_ORDER}
+        sums = np.stack(
+            [assemble_cocyclic(CoboundarySubset(ctx, idx)).sum(axis=1) for idx in subsets]
+        )
+        for m, r in product(range(1, tables.half + 1), (1, 2, 3, 0)):
+            want = sums[:, 4 * m + (r or 4) - 1] == 0
+            assert np.array_equal(_row_check(tables, m, r, u), want), (t, m, r)
+            verdicts[r].update(want.tolist())
+    assert all(seen == {False, True} for seen in verdicts.values())
 
 
 # Operand shapes in CLASS_ORDER (s1, s2, s3, s0): brute force's outer

@@ -23,6 +23,8 @@ from cochad.cocyclic import (
     parse_matrix,
 )
 from cochad.group import GroupContext, element_index, index_element, inverse, multiply
+from cochad.search import run_search
+from oracles import parse_matrix_lines
 
 
 def _random_subset(ctx, rng):
@@ -388,3 +390,62 @@ def test_parse_errors_carry_line_numbers():
     # trailing blank lines are tolerated
     t, matrix = parse_matrix("t=3\n" + good_rows + "\n\n")
     assert t == 3 and matrix.shape == (12, 12)
+
+
+def _parse_outcome(parse, text):
+    """(t, dtype, shape, bytes) of a parsed matrix, or the MatrixFormatError text."""
+    try:
+        t, matrix = parse(text)
+    except MatrixFormatError as exc:
+        return str(exc)
+    return t, matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+# Single characters an edit puts in a matrix file: the signs, a letter,
+# blanks, line breaks and two that are not ASCII (one a lone surrogate).
+_EDIT_CHARS = "+-x \t\r\n\x0b\x85\u00e9\ud800"
+
+
+def _edits(text):
+    """Every single-character substitution, deletion and insertion."""
+    for k in range(len(text)):
+        for c in _EDIT_CHARS:
+            yield text[:k] + c + text[k + 1 :]
+        yield text[:k] + text[k + 1 :]
+    for k in range(len(text) + 1):
+        for c in _EDIT_CHARS:
+            yield text[:k] + c + text[k:]
+
+
+@pytest.mark.parametrize("t, sample", [(3, None), (5, 1500)])
+def test_parse_matrix_matches_line_oracle(t, sample):
+    # The one-pass grid check accepts exactly the files the line-by-line
+    # reference accepts, with the same matrix, and rejects the others
+    # with the same message: every single edit of a t = 3 file, and a
+    # seeded sample of those of a t = 5 file.
+    subset = run_search(t).solutions()[0].subset
+    text = format_matrix(t, assemble_cocyclic(subset))
+    edits = list(_edits(text))
+    if sample is not None:
+        rng = np.random.default_rng(t)
+        edits = [edits[i] for i in sorted(rng.choice(len(edits), sample, replace=False))]
+    outcomes = set()
+    for edited in [text, *edits]:
+        want = _parse_outcome(parse_matrix_lines, edited)
+        assert _parse_outcome(parse_matrix, edited) == want, repr(edited)
+        outcomes.add(type(want))
+    assert outcomes == {tuple, str}
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_format_matrix_stack_matches_single(t):
+    # A stack formats as its matrices one at a time, a stack of one and
+    # an empty stack included.
+    solutions = [record.subset for record in run_search(t).solutions()[:40]]
+    stack = np.stack([assemble_cocyclic(subset) for subset in solutions])
+    texts = format_matrix(t, stack)
+    assert texts == [format_matrix(t, matrix) for matrix in stack]
+    assert format_matrix(t, stack[:1]) == [format_matrix(t, stack[0])]
+    assert format_matrix(t, stack[:0]) == []
+    with pytest.raises(ValueError, match="one matrix or a stack"):
+        format_matrix(t, stack[None])

@@ -1,5 +1,6 @@
 """Pruned search, brute-force scan, certification, and export."""
 
+import hashlib
 import re
 from itertools import product
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import cochad.search
 from cochad.bitmask import CLASS_ORDER, MaskTables, forbidden_position, rotate
-from cochad.cocyclic import CoboundarySubset, assemble_cocyclic, is_hadamard_direct
+from cochad.cocyclic import CoboundarySubset, assemble_cocyclic, format_matrix, is_hadamard_direct
 from cochad.distributions import entry_class_size, enumerate_distributions
 from cochad.group import GroupContext
 from cochad.recipes import ClassMasks, class_masks, necklace_masks
@@ -524,6 +525,26 @@ def test_export_and_verify(tmp_path):
     again = export_solutions(report, out_dir)
     assert set(again) == set(written)
     assert {path: path.read_bytes() for path in written} == before
+
+
+@pytest.mark.parametrize("t, digest", [(5, "f94974659d4089cf"), (7, "e1fac8823ad3fbd2")])
+def test_export_matches_per_solution_format(tmp_path, t, digest):
+    # The export assembles and formats solutions a stack at a time; its
+    # files are those of one matrix at a time, in solution order.  The
+    # digest over the sorted (name, bytes) pairs, report.txt included,
+    # was read from the one-matrix-at-a-time export.
+    report = run_search(t)
+    written = export_solutions(report, tmp_path)
+    texts = [format_matrix(t, assemble_cocyclic(rec.subset)) for rec in report.solutions()]
+    names = [f"t{t:02d}-{hashlib.sha256(text.encode()).hexdigest()[:16]}.txt" for text in texts]
+    assert [path.name for path in written] == names
+    assert [path.read_bytes() for path in written] == [text.encode() for text in texts]
+    files = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+    assert [name for name, _ in files] == sorted([*names, "report.txt"])
+    h = hashlib.sha256()
+    for name, data in files:
+        h.update(name.encode() + b"\0" + data)
+    assert h.hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("failing_write", [5, 25])  # a matrix file; report.txt
