@@ -15,14 +15,42 @@ becomes a table lookup:
     left rotations alone.
 
 The zero-sum condition for a row of the assembled matrix is then a small
-integer identity per rotation shift m.  row_test_batch is the one
-executable statement of those identities: the search runs its joined
-candidates through it and brute force runs every canonical subset
-through it.  Its leading checks run on the operands' broadcast shape,
-each pair term at the shape of its own two operands, so outer-product
-operands (as brute force passes) cost one compare per row there; only
-the survivors' masks are then gathered, and the remaining checks run on
-them alone.  join_classes turns rows of four class masks back into
+integer identity per rotation shift m: the head counts total t at the
+rows 4m+1, and at the rows 4m+2, 4m+3 and 4m+4 the two pair terms of
+PAIR_ORDER cancel.
+
+Termwise balance: the three cross conditions hold at every m exactly
+when all six pair terms vanish at every m.  Let z_a be the Fourier
+coefficient of class a's 0/1 position vector at a nontrivial character
+w of Z_t, z_a = sum over positions p of a of w^p, and let
+W_ab = Im(z_a conj z_b).  pair_ci(a, b, m) = c(m) - c(-m), with c the
+cross-correlation c(m) = |a & rot_m(b)|, is odd in m, and its transform
+sum_m pair_ci(a, b, m) w^m is z_a conj z_b minus its conjugate, 2i W_ab.
+A cross condition asks two odd terms to cancel at m = 1 .. (t-1)/2,
+hence at every m, so its transform vanishes at every nontrivial
+character:
+
+    W12 + W30 = 0,   W13 + W02 = 0,   W10 + W23 = 0.
+
+The 2 x 2 minors of the real 2 x 4 matrix with columns (Re z_a, Im z_a)
+are -W_ab, and they satisfy the Plücker relation
+W12 W30 - W13 W20 + W10 W23 = 0.  Substituting the three conditions
+(W20 = -W02 = W13) gives -(W12² + W13² + W10²) = 0, so all three
+vanish, and with them W30, W02 and W23.  An odd term's transform also
+vanishes at the trivial character, so a term whose W vanishes at every
+nontrivial one is zero.  So every solution has pair_ci(a, b, m) = 0
+for all six coupled pairs and every m; the converse is plain.  In
+matrix terms the four class circulants are pairwise amicable.  The
+search's join relies on this: only a pair of classes (1, 2) with all
+its terms zero can belong to a solution.
+
+row_test_batch is the one executable statement of those identities:
+the search runs its joined candidates through it and brute force runs
+every canonical subset through it.  Its leading checks run on the
+operands' broadcast shape, each pair term at the shape of its own two
+operands, so outer-product operands (as brute force passes) cost one
+compare per row there; only the survivors' masks are then gathered,
+and the remaining checks run on them alone.  join_classes turns rows of four class masks back into
 the subsets' index membership.  The readable reference implementation
 lives in the paths module, and tests hold both to the direct
 orthogonality test.

@@ -31,7 +31,7 @@ row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
 the least rotation of u2's necklace (recipes.necklace_masks), and c a
 mask of class 1's rotation-closed catalog; a B row (u3, u0) of D3 x D0
 likewise by c from class 3's catalog and n from class 0's
-representatives.  Four facts make this exact:
+representatives.  Five facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
     every term of pair_ci(u, v, m), a popcount of an intersection of
@@ -52,30 +52,38 @@ representatives.  Four facts make this exact:
     keeps its verdict: (rot_-r A, rot_-r' B) passes exactly when
     (A, rot_d B) does, d = r - r'.
   * Mirror.  The map (u1, u2, u3, u0) -> (u1, ~u2, u0, u3), class 2
-    complemented and classes 3 and 0 swapped, keeps every head profile
-    (complements share profiles, and the B code is a sum), negates both
-    terms of the residue-2 sum (pair_ci(u1, ~u2, m) = -pair_ci(u1, u2,
-    m)), keeps every forbidden position (class 2 has none, classes 3
-    and 0 share t - 1) and commutes with rotation.  So it maps the key
-    matches of assignment (e1, e2, e3, e0) one to one onto those of
-    (e1, e2, e0, e3), with the same valid rotations: u1 is kept, ~u2
-    has u2's period and u3 | u0 is symmetric.  The mirror's residue-3
-    and residue-0 sums are the match's residue-0 and residue-3 sums
-    (bitmask.PAIR_ORDER), so its verdict is the match's; a match and
-    its mirror are still row-tested each on its own.
+    complemented and classes 3 and 0 swapped (_mirror), keeps every
+    head profile (complements share profiles, and the B code is a sum),
+    negates both terms of the residue-2 sum (pair_ci(u1, ~u2, m) =
+    -pair_ci(u1, u2, m)), keeps every forbidden position (class 2 has
+    none, classes 3 and 0 share t - 1) and commutes with rotation.  So
+    it maps the key matches of assignment (e1, e2, e3, e0) one to one
+    onto those of (e1, e2, e0, e3), with the same valid rotations: u1
+    is kept, ~u2 has u2's period and u3 | u0 is symmetric.  The
+    mirror's residue-3 and residue-0 sums are the match's residue-0 and
+    residue-3 sums (bitmask.PAIR_ORDER), so a mirror passes exactly
+    when its match does, and the mirror's hits are the images of the
+    match's.
+  * Termwise balance.  A solution has every pair term zero at every m
+    (bitmask docstring), pair_ci(u1, u2, m) among them, and joint
+    rotation keeps that.  So only a key match whose coupling digits
+    are all t can pass the row test: its key modulo (2t+1)^((t-1)/2)
+    is ((2t+1)^((t-1)/2) - 1) / 2, the coupling key zero.
 
 So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
 4-tuples, over all matches, are exactly the pairs of domain rows with
-equal keys: each once.  They are counted as the candidates checked,
-but by the third fact each match goes through bitmask.row_test_batch
-only once per relative shift d that stands for a candidate, that is
-when the A set meets the B set rotated by d.  A passing d gives the
-hits (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
-By the fourth fact, an assignment whose class sizes have k3 > k0 is
-joined together with its mirror: the same batches row-test each match's
-mirror too, at the same d, the mirror is never keyed, sorted or probed,
-and the join returns the pair's hits and totals.
+equal keys: each once.  All of them are counted as the candidates
+checked, but by the fifth fact only the matches with a zero coupling
+key go on (7120 of 130384 at t = 13), and by the third each of those
+goes through bitmask.row_test_batch only once per relative shift d
+that stands for a candidate, that is when the A set meets the B set
+rotated by d: one call per assignment, after all its batches.  A
+passing d gives the hits (rot_-r A, rot_{d-r} B) over the set bits r
+of that intersection.  By the fourth fact, an assignment whose class
+sizes have k3 > k0 is joined together with its mirror: the mirror is
+never keyed, sorted, probed or row-tested, its hits are the images of
+the assignment's, and the join returns the pair's hits and totals.
 row_test_batch is the one statement of all the row conditions: it
 settles the rows congruent to 3 and 0 and re-checks those congruent to
 1 and 2 on the few survivors.  The join also counts the report's
@@ -138,19 +146,18 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15 (~7 s
+# groups and the key fits through t = 19.  The cap stays at 15 (~4 s
 # serial): a t = 17 run (13056 solutions) has no second route to confirm
 # its count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
 # many A-side representative rows; a group larger than that is a batch
-# of its own (none is at t <= 15, where the largest holds 10320).  Each
-# batch makes one row_test_batch call of at most t rows per key match,
-# or 2t with its mirror: the largest holds 90428 rows at t = 13 and
-# 49748 at t = 15.  Measured on run_search(13), 2 cores, three runs
-# each: 2^13 takes 1.08-1.26 s and 2^14 to 2^17 take 1.01-1.15 s, while
-# peak RSS is 62.3, 62.0, 62.6, 66.8 and 70.1 MB.
+# of its own (none is at t <= 15, where the largest holds 10320).  A
+# batch keys, sorts and probes its rows and keeps its zero-coupling
+# matches; it makes no row test of its own.  Measured on run_search(13),
+# 2 cores, three runs each: 2^13 to 2^17 all take 0.45-0.64 s, while
+# peak RSS is 62.0, 61.9, 61.3, 61.1 and 61.1 MB.
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
@@ -357,12 +364,15 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     profile pair (see _side_keys), and a row is built from its key
     position only when its key matches.
     Each matched (A row, B row) stands for its valid rotations on either
-    side, the candidates it counts.  One row_test_batch call per batch
-    tests every match, and its mirror, against each rotation d of its B
-    row that stands for a candidate, and each passing (match, d) gives
-    the hits with A rotated by -r and B by d - r, over the r valid on
-    both sides.  The mirror keeps the valid shifts and the verdicts
-    (see the module docstring); its rows are tested all the same.
+    side, the candidates it counts.  Only the matches whose coupling key
+    is zero can pass (termwise balance), so each batch keeps just those,
+    and after the last batch one row_test_batch call tests every kept
+    match against each rotation d of its B row that stands for a
+    candidate.  Each passing (match, d) gives the hits with A rotated
+    by -r and B by d - r, over the r valid on both sides.  The mirror
+    passes exactly when its match does (see the module docstring), so
+    its hits are the _mirror images of the assignment's and are not
+    tested.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -378,13 +388,10 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     b = _join_side(t, c3, n0, bcodes, sums, -tables.coupling)
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
     arow = a.edges[a.heads]
-    # Side 0 is the assignment, side 1 its mirror when it has one.
-    sides = 2 if k3 != k0 else 1
-    flip = np.array([0, (1 << t) - 1, 0, 0])
-
+    base = (2 * t + 1) ** tables.half
     shifts = np.arange(t)
-    hits = [np.empty((0, 4), dtype=np.int64)]
-    hit_recipes = [np.empty(0, dtype=np.int64)]
+    # (rows, va, vb, apair, bpair) of each batch's zero-coupling matches.
+    kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 4)]
     checked = g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
@@ -400,40 +407,53 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         # at ib[i]; only these rows are built.
         ia = np.repeat(aorder[nz], reps)
         ib = border[np.repeat(first[nz] - np.cumsum(reps) + reps, reps) + np.arange(len(ia))]
+        # A solution has every pair term zero (termwise balance, see
+        # bitmask), so only a match whose coupling digits are all t can
+        # pass the row test.
+        zero = np.repeat(akey[nz] % base == base // 2, reps)
         # Freeing the batch's keys before its matched rows are built holds
         # run_search(13)'s peak RSS ~0.5 MB lower.
         del akey, bkey, aorder, border, first, cnt
         u1, u2, p2, apair = arows(ia)
         u3, u0, p0, bpair = brows(ib)
-        # rows[s, i] holds match i's masks on side s; the mirror's are
-        # (u1, ~u2, u0, u3).
-        rows = np.stack([u1, u2, u3, u0], axis=1)
-        rows = np.stack([rows, rows[:, [0, 1, 3, 2]] ^ flip][:sides])
         # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
         va = _valid_shifts(t, forbidden_position(1, t), u1, p2)
         vb = _valid_shifts(t, forbidden_position(3, t), u3 | u0, p0)
         checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
-        # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
-        # which passes exactly when (A, rot_d B) does, so each match is
-        # tested once per d that stands for a candidate, on every side.
-        # Residues 1 and 2 hold by the join; the kernel re-checks them on
-        # its survivors.
-        live = va[:, None] & rotate(t, vb[:, None], shifts)
-        i, d = np.nonzero(live)
-        b3, b0 = rotate(t, rows[:, i, 2], d), rotate(t, rows[:, i, 3], d)
-        ok = row_test_batch(tables, rows[:, i, 0], rows[:, i, 1], b3, b0)
-        # A passing (s, i, d) gives one hit per set bit r of live[i, d].
-        s, j = np.nonzero(ok)
-        i, d = i[j], d[j]
-        k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
-        s, i, sa, sb = s[k], i[k], (t - r) % t, (d[k] - r) % t
-        hits.append(rotate(t, rows[s, i], np.stack([sa, sa, sb, sb], axis=1)))
-        # The mirror maps recipes one to one, so a hit counts its match's
-        # recipe, kept apart by side.
-        hit_recipes.append((apair[i] * len(b.px) + bpair[i]) * sides + s)
+        rows = np.stack([u1[zero], u2[zero], u3[zero], u0[zero]], axis=1)
+        kept.append((rows, va[zero], vb[zero], apair[zero], bpair[zero]))
         g = h
-    solution_recipes = len(np.unique(np.concatenate(hit_recipes)))
-    return np.concatenate(hits), sides * recipe_count, solution_recipes, sides * checked
+    rows, va, vb, apair, bpair = (np.concatenate(part) for part in zip(*kept))
+    # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
+    # which passes exactly when (A, rot_d B) does, so each match is
+    # tested once per d that stands for a candidate.  Residues 1 and 2
+    # hold by the join; the kernel re-checks them on its survivors.
+    live = va[:, None] & rotate(t, vb[:, None], shifts)
+    i, d = np.nonzero(live)
+    b3, b0 = rotate(t, rows[i, 2], d), rotate(t, rows[i, 3], d)
+    ok = row_test_batch(tables, rows[i, 0], rows[i, 1], b3, b0)
+    # A passing (i, d) gives one hit per set bit r of live[i, d].
+    i, d = i[ok], d[ok]
+    k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
+    i, sa, sb = i[k], (t - r) % t, (d[k] - r) % t
+    found = rotate(t, rows[i], np.stack([sa, sa, sb, sb], axis=1))
+    # A hit counts its match's recipe.  The mirror passes exactly when
+    # its match does and maps recipes one to one, so its hits are the
+    # images of the assignment's, and its recipes are kept apart by an
+    # odd id.
+    sides = 2 if k3 != k0 else 1
+    ids = (apair[i] * len(b.px) + bpair[i]) * sides
+    if sides == 2:
+        found, ids = np.concatenate([found, _mirror(t, found)]), np.concatenate([ids, ids + 1])
+    solution_recipes = len(np.unique(ids))
+    return found, sides * recipe_count, solution_recipes, sides * checked
+
+
+def _mirror(t: int, rows):
+    """The mirrors (u1, ~u2, u0, u3) of (n, 4) mask rows (u1, u2, u3, u0):
+    class 2 complemented, classes 3 and 0 swapped (see the module
+    docstring)."""
+    return rows[:, [0, 1, 3, 2]] ^ np.array([0, (1 << t) - 1, 0, 0])
 
 
 def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:

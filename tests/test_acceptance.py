@@ -177,7 +177,7 @@ def test_criterion_5_search_table_t13():
 
 @pytest.mark.slow
 def test_criterion_5_search_t15():
-    # ~7 s on 2 cores.  The digest is the first 16 hex digits of the
+    # ~4 s on 2 cores.  The digest is the first 16 hex digits of the
     # sha256 over the repr of each solution's sorted indices, in order.
     report = run_search(15)
     assert [r.summary_line() for r in report.reports] == [

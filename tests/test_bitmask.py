@@ -331,6 +331,22 @@ def test_row_test_batch_pass_set_t5():
     assert pair_terms_vanish(t, rows).all()
 
 
+def test_cross_conditions_are_termwise_balance_t5():
+    # Termwise balance (bitmask docstring): over all 2^20 quadruples of
+    # class masks at t = 5, the residue-2, -3 and -0 conditions hold at
+    # every m exactly when all six pair terms vanish on their own.
+    t = 5
+    tables = mask_tables(t)
+    quads = np.arange(1 << 4 * t, dtype=np.int64)
+    u = {cls: (quads >> t * j) & ((1 << t) - 1) for j, cls in enumerate(CLASS_ORDER)}
+    ok = np.ones(len(quads), dtype=bool)
+    for m, residue in product(range(1, tables.half + 1), (2, 3, 0)):
+        ok &= _row_check(tables, m, residue, u)
+    rows = np.stack([u[cls] for cls in CLASS_ORDER], axis=1)
+    assert np.array_equal(ok, pair_terms_vanish(t, rows))
+    assert np.count_nonzero(ok) == 20416
+
+
 @lru_cache(maxsize=None)
 def _solution_indices(t):
     return tuple(rec.subset.sorted_indices() for rec in run_search(t).solutions())

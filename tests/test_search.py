@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import cochad.search
-from cochad.bitmask import CLASS_ORDER, MaskTables, forbidden_position, rotate
+from cochad.bitmask import (
+    CLASS_ORDER,
+    PAIR_ORDER,
+    MaskTables,
+    forbidden_position,
+    mask_tables,
+    pair_ci,
+    rotate,
+    row_test_batch,
+)
 from cochad.cocyclic import CoboundarySubset, assemble_cocyclic, format_matrix, is_hadamard_direct
 from cochad.distributions import entry_class_size, enumerate_distributions
 from cochad.group import GroupContext
@@ -198,10 +207,11 @@ def test_rotations_of_representatives_are_the_class_domains(t):
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
     # or one larger group; at 97 most t = 9 groups are batches of their
-    # own.  A batch's row test takes each key match once per relative
-    # shift that stands for a candidate, for the assignment and for its
-    # mirror, which is never keyed.
-    default = run_search(9)
+    # own.  Every batch counts the candidates of all its key matches and
+    # keeps those whose coupling key is zero; each joined assignment
+    # then makes one row test of its kept matches, once per relative
+    # shift that stands for a candidate, whatever the batches.  Its
+    # mirror is never keyed or row-tested.
     events = []
     batches = []  # (groups, keyed rows) of each side of each batch
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
@@ -217,17 +227,33 @@ def test_join_batches_do_not_change_results(monkeypatch):
         events.append(np.broadcast(*cols).size)
         return real_test(tables, *cols)
 
-    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
+    def joins():
+        """The (assignment, batches, row-test rows) of each join, from
+        events: each batch keys its B rows (classes 3, 0), then its A rows
+        (1, 2), and the join ends with its one row test."""
+        out, keyed = [], []
+        for event in events:
+            if not isinstance(event, int):
+                keyed.append(event)
+                continue
+            b_sides, a_sides = set(keyed[0::2]), set(keyed[1::2])
+            assert len(keyed) % 2 == 0 and len(a_sides) == len(b_sides) == 1
+            out.append((a_sides.pop() + b_sides.pop(), len(keyed) // 2, event))
+            keyed = []
+        assert not keyed
+        events.clear()
+        return out
+
     monkeypatch.setattr(cochad.search, "_side_keys", side_keys)
     monkeypatch.setattr(cochad.search, "row_test_batch", row_test_batch)
+    default = run_search(9)
+    default_joins = joins()
+    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
+    batches.clear()
     tiny = run_search(9)
+    tiny_joins = joins()
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
-    # Each batch keys its B rows (classes 3, 0), then its A rows (1, 2),
-    # then makes one row test.
-    sizes = events[2::3]
-    assert len(sizes) > 1 and all(isinstance(n, int) for n in sizes)
-    keyed = {a + b for b, a in zip(events[0::3], events[1::3])}
     # Only the assignments with k3 >= k0 are keyed; the rest are their
     # mirrors.  Sizes 4, 3 and 2 carry the entries 10, 9 and 7.
     joined = set()
@@ -236,11 +262,15 @@ def test_join_batches_do_not_change_results(monkeypatch):
             k1, k2, k3, k0 = (entry_class_size(9, e) for e in assignment)
             if k3 >= k0:
                 joined.add((k1, k2, k3, k0))
-    assert keyed == joined and len(joined) == 8
+    assert len(joined) == 8
+    for runs in (default_joins, tiny_joins):
+        assert len(runs) == len(joined)
+        assert {assignment for assignment, _, _ in runs} == joined
+        assert sum(rows for _, _, rows in runs) == 15278
+    assert sum(n for _, n, _ in tiny_joins) > sum(n for _, n, _ in default_joins)
     abatches = batches[1::2]
     assert all(groups == 1 or rows <= 97 for groups, rows in abatches)
     assert sum(groups == 1 and rows > 97 for groups, rows in abatches) > len(abatches) // 2
-    assert sum(sizes) == 83282
 
 
 def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
@@ -301,26 +331,6 @@ def test_side_keys_match_digit_keys(t):
         assert sorted(zip(pair.tolist(), u.tolist(), v.tolist())) == want
 
 
-def _tested_orbits(monkeypatch, t, side, join):
-    """The joint-rotation orbits of the rows that join hands
-    row_test_batch for its side-th assignment, each once as its least
-    packed row, and join's result."""
-    real = cochad.search.row_test_batch
-    tested = []
-
-    def recording(tables, *cols):
-        tested.append(np.stack([c[side] for c in np.broadcast_arrays(*cols)], axis=-1))
-        return real(tables, *cols)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cochad.search, "row_test_batch", recording)
-        result = join()
-    rows = np.concatenate(tested)
-    turned = rotate(t, rows[:, None, :], np.arange(t)[:, None])
-    packed = (turned << (t * np.arange(3, -1, -1))).sum(axis=-1)
-    return np.unique(packed.min(axis=1)), result
-
-
 def _split_sides(t, k3, result):
     """The hits of a mirror pair's join, split into those of the
     assignment with class-3 size k3 and those of its mirror, and each
@@ -335,7 +345,7 @@ def _split_sides(t, k3, result):
 @pytest.mark.parametrize(
     "t, mirrors, hit_rows", [(3, 1, 6), (5, 2, 40), (7, 2, 210), (9, 5, 810), (11, 5, 1100)]
 )
-def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
+def test_mirror_assignments_agree(t, mirrors, hit_rows):
     # (u1, u2, u3, u0) -> (u1, ~u2, u0, u3) keeps every head profile,
     # negates both coupling terms and keeps every forbidden position, so
     # it maps the join of (e1, e2, e3, e0) one to one onto that of
@@ -344,10 +354,9 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
     # second's hits without keying it, in one result for the pair; its
     # class-3 sizes tell the two apart, since k3 != k0 are both at most
     # t / 2.  They must equal a direct join of the second on its own
-    # catalogs.  The rows each route row-tests for the second may be
-    # different representatives, but of the same joint-rotation orbits.
-    # The hits alone cannot tell a wrong map: every solution found so
-    # far also passes with class 2 left as it is (ROADMAP item 5).
+    # catalogs.  The hits alone cannot tell a wrong map: the t = 5 pass
+    # set is closed under swapping classes 3 and 0 alone, so
+    # test_mirror_map holds the map to the row sums.
     # mirrors counts the pairs, hit_rows the hits of their first
     # assignments.
     found = rows = 0
@@ -358,9 +367,7 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
                 continue
             found += 1
             join = cochad.search._join_assignment
-            mapped, result = _tested_orbits(monkeypatch, t, 1, lambda: join(t, k1, k2, k3, k0))
-            tested, partner = _tested_orbits(monkeypatch, t, 0, lambda: join(t, k1, k2, k0, k3))
-            assert np.array_equal(mapped, tested)
+            result, partner = join(t, k1, k2, k3, k0), join(t, k1, k2, k0, k3)
             (own, mirror), (own_recipes, mirror_recipes) = _split_sides(t, k3, result)
             (direct, _), (direct_recipes, _) = _split_sides(t, k0, partner)
             # Recipe, solution recipe and candidate counts of the pair,
@@ -373,6 +380,49 @@ def test_mirror_assignments_agree(monkeypatch, t, mirrors, hit_rows):
             assert sorted(map(tuple, mirror.tolist())) == sorted(map(tuple, direct.tolist()))
             rows += len(own)
     assert (found, rows) == (mirrors, hit_rows)
+
+
+@pytest.mark.parametrize("t", [5, 7, 9, 11])
+def test_mirror_map(t):
+    # The join maps each passing match to its mirror instead of testing
+    # it, so _mirror must negate the residue-2 sum, swap the residue-3
+    # and residue-0 sums and keep the head totals at every m; then the
+    # verdicts agree.  Seeded random tuples, nearly all of them no
+    # solution, make the sums nonzero; a map that leaves class 2 as it
+    # is breaks the residue-2 identity on some of them.  The search's
+    # solutions make the verdicts meet both values.
+    tables = mask_tables(t)
+    rng = np.random.default_rng(t)
+    solutions = [split_classes(t, rec.subset.indices) for rec in run_search(t).solutions()]
+    rows = np.vstack(
+        [
+            rng.integers(0, 1 << t, size=(400, 4)),
+            [[masks[cls] for cls in CLASS_ORDER] for masks in solutions],
+        ]
+    )
+    match, mirror, swapped = (
+        dict(zip(CLASS_ORDER, r.T))
+        for r in (rows, cochad.search._mirror(t, rows), rows[:, [0, 1, 3, 2]])
+    )
+
+    def pair_sum(u, m, residue):
+        (a, b), (c, d) = PAIR_ORDER[residue]
+        return pair_ci(tables, u[a], u[b], m) + pair_ci(tables, u[c], u[d], m)
+
+    def heads(u, m):
+        return sum(tables.runs[m][u[cls]] for cls in CLASS_ORDER)
+
+    swap_breaks = False
+    for m in range(1, tables.half + 1):
+        assert np.array_equal(pair_sum(mirror, m, 2), -pair_sum(match, m, 2))
+        assert np.array_equal(pair_sum(mirror, m, 3), pair_sum(match, m, 0))
+        assert np.array_equal(pair_sum(mirror, m, 0), pair_sum(match, m, 3))
+        assert np.array_equal(heads(mirror, m), heads(match, m))
+        swap_breaks |= not np.array_equal(pair_sum(swapped, m, 2), -pair_sum(match, m, 2))
+    assert swap_breaks
+    verdicts = row_test_batch(tables, *(match[cls] for cls in CLASS_ORDER))
+    assert np.array_equal(row_test_batch(tables, *(mirror[cls] for cls in CLASS_ORDER)), verdicts)
+    assert np.count_nonzero(verdicts) == len(solutions) > 0
 
 
 def test_subsets_of_rows():
