@@ -44,6 +44,21 @@ matrix terms the four class circulants are pairwise amicable.  The
 search's join relies on this: only a pair of classes (1, 2) with all
 its terms zero can belong to a solution.
 
+Affine maps: for u prime to t, mu_u: p -> u p permutes the cycle
+positions and mu_u rot_m = rot_{um} mu_u.  So applied to all four
+classes it sends the chain count of each class and each pair term at
+shift m to the same count or term at shift um of the images, and um
+runs over the nonzero shifts as m does.  A head count is even in m,
+as every chain has one start and one end, and a pair term is odd, so
+each row condition at m of S is the one at +-um of mu_u S, and S
+passes exactly when mu_u S does; a rotation rot_c keeps every term.
+cocyclic.canonicalize keeps the Hadamard property and picks the one
+canonical member of S's coset under its three relation kernels, each
+a union of whole classes.  A position map fixes every whole class, so
+it maps cosets onto cosets: S -> canonicalize(g S) permutes the
+canonical solutions for every affine g: p -> u p + c.  The tests check
+this closure and count its orbits for t <= 11.
+
 row_test_batch is the one executable statement of those identities:
 the search runs its joined candidates through it and brute force runs
 every canonical subset through it.  Its leading checks run on the

@@ -125,33 +125,6 @@ def _product_index_table(t: int) -> np.ndarray:
     return (4 * a2 + off2 + 1).astype(np.int32)
 
 
-@lru_cache(maxsize=None)
-def _block_pattern(residue: int) -> np.ndarray:
-    """4x4 tile with -1 where the column offset is the row offset XOR
-    the offset of the residue class representative."""
-    off_i = (residue - 1) % 4
-    blk = np.ones((4, 4), dtype=np.int8)
-    for o in range(4):
-        blk[o, o ^ off_i] = -1
-    return blk
-
-
-def _coboundary_blocks(ctx: GroupContext, i: int) -> SignMatrix:
-    """Point form via tile placement: the class tile runs down a back
-    diagonal of 4x4 blocks starting at block column ceil(i/4), then row i
-    and column i are negated."""
-    t = ctx.t
-    out = np.ones((4 * t, 4 * t), dtype=np.int8)
-    blk = _block_pattern(i % 4)
-    bc0 = (i + 3) // 4
-    for br in range(t):
-        bc = (bc0 - 1 - br) % t
-        out[4 * br : 4 * br + 4, 4 * bc : 4 * bc + 4] = blk
-    out[i - 1, :] *= -1
-    out[:, i - 1] *= -1
-    return out
-
-
 def _coboundary_point(ctx: GroupContext, i: int) -> SignMatrix:
     """Point form via evaluation: entry (r, s) = d(g_r) d(g_s) d(g_r g_s)."""
     n = ctx.order
@@ -169,7 +142,8 @@ def build_coboundary(ctx: GroupContext, i: int, *, point_form: bool = False) -> 
     row but the first, at columns i and e with g_e = g_s^{-1} g_i for
     row s.  point_form=True returns the point-evaluation layer instead
     (row i negated relative to the working form).  The tile placement
-    of _coboundary_blocks is the tests' second route to the same table.
+    of coboundary_blocks in tests/oracles.py is the tests' second route
+    to the same table.
     """
     if not 1 <= i <= ctx.order:
         raise ValueError(f"index {i} outside [1, {ctx.order}]")

@@ -78,12 +78,13 @@ checked, but by the fifth fact only the matches with a zero coupling
 key go on (7120 of 130384 at t = 13), and by the third each of those
 goes through bitmask.row_test_batch only once per relative shift d
 that stands for a candidate, that is when the A set meets the B set
-rotated by d: one call per assignment, after all its batches.  A
-passing d gives the hits (rot_-r A, rot_{d-r} B) over the set bits r
-of that intersection.  By the fourth fact, an assignment whose class
-sizes have k3 > k0 is joined together with its mirror: the mirror is
-never keyed, sorted, probed or row-tested, its hits are the images of
-the assignment's, and the join returns the pair's hits and totals.
+rotated by d: one call per assignment, after all its batches, on the
+tuples (A, rot_d B).  A passing tuple gives the hits rot_-r (A, rot_d B)
+= (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
+By the fourth fact, only the assignments whose class sizes have
+k3 >= k0 are joined, one at a time; the mirror of one with k3 > k0 is
+never keyed, sorted, probed or row-tested: the search adds the images
+of its partner's hits and the partner's totals once more.
 row_test_batch is the one statement of all the row conditions: it
 settles the rows congruent to 3 and 0 and re-checks those congruent to
 1 and 2 on the few survivors.  The join also counts the report's
@@ -343,36 +344,29 @@ def _valid_shifts(t: int, forb: int, masks, periods):
 
 
 def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
-    """Mask 4-tuples satisfying all row conditions for one assignment and
-    its mirror, with their totals.
+    """Mask 4-tuples satisfying all row conditions for one assignment,
+    with its totals.
 
     k1, k2, k3 and k0 are the class sizes the assignment gives classes
     1, 2, 3 and 0; the join reads the catalogs of classes 1 and 3 and
     the necklace representatives of classes 2 and 0 (see the module
-    docstring).  Returns one (masks (n, 4), recipe count, solution
-    recipe count, candidates checked) for the assignment together with,
-    when k3 != k0, its mirror (k1, k2, k0, k3), which is never keyed.
-    Profiles are matched first: an A profile pair (classes 1, 2) meets
-    a B pair (classes 3, 0) when its code sum equals t in every digit
-    minus the B pair's codes, and each such meeting is one recipe.  The
-    mirror maps meetings and candidates one to one, so those counts are
-    the assignment's times the sides; the solution recipes are the
-    distinct (meeting, side) among the hits.  Only matched pairs are
-    keyed, in batches of whole groups holding at most _CHUNK_ROWS A rows
-    (a larger group is a batch of its own), and joined on (group,
-    coupling scores); the keys come from one float64 product per matched
-    profile pair (see _side_keys), and a row is built from its key
-    position only when its key matches.
-    Each matched (A row, B row) stands for its valid rotations on either
-    side, the candidates it counts.  Only the matches whose coupling key
-    is zero can pass (termwise balance), so each batch keeps just those,
-    and after the last batch one row_test_batch call tests every kept
-    match against each rotation d of its B row that stands for a
-    candidate.  Each passing (match, d) gives the hits with A rotated
-    by -r and B by d - r, over the r valid on both sides.  The mirror
-    passes exactly when its match does (see the module docstring), so
-    its hits are the _mirror images of the assignment's and are not
-    tested.
+    docstring).  Returns (masks (n, 4), recipe count, solution recipe
+    count, candidates checked).  Profiles are matched first: an A
+    profile pair (classes 1, 2) meets a B pair (classes 3, 0) when its
+    code sum equals t in every digit minus the B pair's codes, and each
+    such meeting is one recipe; the solution recipes are the distinct
+    meetings among the hits.  Only matched pairs are keyed, in batches
+    of whole groups holding at most _CHUNK_ROWS A rows (a larger group
+    is a batch of its own), and joined on (group, coupling scores); the
+    keys come from one float64 product per matched profile pair (see
+    _side_keys), and a row is built from its key position only when its
+    key matches.  Each matched (A row, B row) stands for its valid
+    rotations on either side, the candidates it counts.  Only the
+    matches whose coupling key is zero can pass (termwise balance), so
+    each batch keeps just those, and after the last batch one
+    row_test_batch call tests every kept match (A, B) as (A, rot_d B),
+    for each d that stands for a candidate.  A passing tuple gives its
+    rotations by -r as hits, over the r valid on both sides.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -390,8 +384,8 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
     shifts = np.arange(t)
-    # (rows, va, vb, apair, bpair) of each batch's zero-coupling matches.
-    kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 4)]
+    # (rows, va, vb, recipe) of each batch's zero-coupling matches.
+    kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 3)]
     checked = g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
@@ -420,33 +414,26 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         va = _valid_shifts(t, forbidden_position(1, t), u1, p2)
         vb = _valid_shifts(t, forbidden_position(3, t), u3 | u0, p0)
         checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
-        rows = np.stack([u1[zero], u2[zero], u3[zero], u0[zero]], axis=1)
-        kept.append((rows, va[zero], vb[zero], apair[zero], bpair[zero]))
+        recipe = apair * len(b.px) + bpair
+        rows = np.stack([u1, u2, u3, u0], axis=1)[zero]
+        kept.append((rows, va[zero], vb[zero], recipe[zero]))
         g = h
-    rows, va, vb, apair, bpair = (np.concatenate(part) for part in zip(*kept))
+    rows, va, vb, recipe = (np.concatenate(part) for part in zip(*kept))
     # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
-    # which passes exactly when (A, rot_d B) does, so each match is
-    # tested once per d that stands for a candidate.  Residues 1 and 2
-    # hold by the join; the kernel re-checks them on its survivors.
+    # which is rot_-r of the tested tuple (A, rot_d B) and passes exactly
+    # when it does, so each match is tested once per d that stands for a
+    # candidate.  Residues 1 and 2 hold by the join; the kernel re-checks
+    # them on its survivors.
     live = va[:, None] & rotate(t, vb[:, None], shifts)
     i, d = np.nonzero(live)
-    b3, b0 = rotate(t, rows[i, 2], d), rotate(t, rows[i, 3], d)
-    ok = row_test_batch(tables, rows[i, 0], rows[i, 1], b3, b0)
+    tested = rotate(t, rows[i], d[:, None] * np.array([0, 0, 1, 1]))
+    ok = row_test_batch(tables, *tested.T)
     # A passing (i, d) gives one hit per set bit r of live[i, d].
-    i, d = i[ok], d[ok]
+    i, d, tested = i[ok], d[ok], tested[ok]
     k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
-    i, sa, sb = i[k], (t - r) % t, (d[k] - r) % t
-    found = rotate(t, rows[i], np.stack([sa, sa, sb, sb], axis=1))
-    # A hit counts its match's recipe.  The mirror passes exactly when
-    # its match does and maps recipes one to one, so its hits are the
-    # images of the assignment's, and its recipes are kept apart by an
-    # odd id.
-    sides = 2 if k3 != k0 else 1
-    ids = (apair[i] * len(b.px) + bpair[i]) * sides
-    if sides == 2:
-        found, ids = np.concatenate([found, _mirror(t, found)]), np.concatenate([ids, ids + 1])
-    solution_recipes = len(np.unique(ids))
-    return found, sides * recipe_count, solution_recipes, sides * checked
+    found = rotate(t, tested[k], (t - r[:, None]) % t)
+    # A rotation keeps the profiles, so a hit's recipe is its match's.
+    return found, recipe_count, len(np.unique(recipe[i[k]])), checked
 
 
 def _mirror(t: int, rows):
@@ -469,8 +456,10 @@ def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
     cols = (col + 1).tolist()
     ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
     indices = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
-    # A set of the tuples, not np.unique(rows, axis=0): that imports
-    # numpy.ma, ~1.4 MB of peak RSS on every search.
+    # A set of the tuples, not np.unique(rows, axis=0), which imports
+    # numpy.ma (~10 ms, ~1 MB of max RSS with numpy 2.4).  That saves
+    # the import in brute_force only: run_search imports numpy.ma anyway,
+    # through np.intersect1d in the join.
     if len(set(indices)) != len(indices):
         raise AssertionError("mask rows produced overlapping subsets")
     order = sorted(range(len(rows)), key=indices.__getitem__)
@@ -487,15 +476,23 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     only what it has certified itself.
     """
     sizes = {entry: entry_class_size(t, entry) for entry in distribution.entries}
-    # Each assignment with k3 < k0 is the mirror of (k1, k2, k0, k3) and
-    # is joined with it.  Assignments differ in some class budget, so no
-    # recipe repeats across them.
-    joins = [
-        _join_assignment(t, k1, k2, k3, k0)
-        for k1, k2, k3, k0 in (tuple(sizes[e] for e in a) for a in distribution.assignments())
-        if k3 >= k0
-    ]
-    rows, recipe_counts, solution_recipe_counts, checked = zip(*joins)
+    # An assignment with k3 < k0 is the mirror of (k1, k2, k0, k3), onto
+    # whose hits, recipes and candidates it maps one to one (see the
+    # module docstring), so it is never joined: its hits are the _mirror
+    # images of its partner's.  Assignments differ in some class budget,
+    # so no recipe repeats across them.
+    rows, recipe_count, solution_recipe_count, checked = [], 0, 0, 0
+    for k1, k2, k3, k0 in (tuple(sizes[e] for e in a) for a in distribution.assignments()):
+        if k3 < k0:
+            continue
+        found, recipes, solution_recipes, candidates = _join_assignment(t, k1, k2, k3, k0)
+        sides = 1 if k3 == k0 else 2
+        rows.append(found)
+        if sides == 2:
+            rows.append(_mirror(t, found))
+        recipe_count += sides * recipes
+        solution_recipe_count += sides * solution_recipes
+        checked += sides * candidates
     # Subsets are built once the joins are done: at t = 13 building and
     # sorting the 8424 subsets takes ~0.13 s, and built between joins
     # they raised the peak RSS from 61.8 to 63.5 MB.
@@ -509,11 +506,11 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     report = DistributionReport(
         distribution=distribution,
         ingredient_counts=tuple(len(class_masks(t, sizes[e]).codes) for e in distribution.entries),
-        recipe_count=sum(recipe_counts),
-        solution_recipe_count=sum(solution_recipe_counts),
+        recipe_count=recipe_count,
+        solution_recipe_count=solution_recipe_count,
         solutions=tuple(SolutionRecord(subset) for subset in subsets),
     )
-    return report, sum(checked)
+    return report, checked
 
 
 def run_search(

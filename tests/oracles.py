@@ -14,7 +14,9 @@ search never builds: the masks a canonical subset may use in each
 class (class_domain), the termwise form of the coupled-pair
 conditions (pair_terms_vanish), and the join key digit by digit
 (coupling_key).  parse_matrix_lines reads matrix text one line at a
-time, the reference for cocyclic.parse_matrix.
+time, the reference for cocyclic.parse_matrix, and coboundary_blocks
+places a coboundary table's tiles, the second route to
+cocyclic.build_coboundary.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from cochad.bitmask import (
     mask_tables,
     pair_ci,
 )
-from cochad.cocyclic import CoboundarySubset, MatrixFormatError
+from cochad.cocyclic import CoboundarySubset, MatrixFormatError, SignMatrix
 from cochad.distributions import Distribution, entry_class_size
 from cochad.group import GroupContext
 from cochad.recipes import ClassMasks, class_masks
@@ -218,6 +220,28 @@ def expand_recipe(recipe: Recipe, ctx: GroupContext) -> Iterator[CoboundarySubse
         per_class.append(side.flat[side.starts[i] : side.starts[i] + side.sizes[i]].tolist())
     for row in product(*per_class):
         yield CoboundarySubset(ctx, frozenset(joined_indices(t, row)))
+
+
+def coboundary_blocks(ctx: GroupContext, i: int) -> SignMatrix:
+    """Point form of index i's coboundary table via tile placement.
+
+    The 4x4 class tile has -1 where the column offset is the row offset
+    XOR the offset of the residue class representative; it runs down a
+    back diagonal of 4x4 blocks starting at block column ceil(i/4), then
+    row i and column i are negated.
+    """
+    t = ctx.t
+    blk = np.ones((4, 4), dtype=np.int8)
+    for o in range(4):
+        blk[o, o ^ ((i - 1) % 4)] = -1
+    out = np.ones((4 * t, 4 * t), dtype=np.int8)
+    bc0 = (i + 3) // 4
+    for br in range(t):
+        bc = (bc0 - 1 - br) % t
+        out[4 * br : 4 * br + 4, 4 * bc : 4 * bc + 4] = blk
+    out[i - 1, :] *= -1
+    out[:, i - 1] *= -1
+    return out
 
 
 def parse_matrix_lines(text: str) -> tuple[int, np.ndarray]:

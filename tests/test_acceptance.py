@@ -20,12 +20,12 @@ from cochad.cocyclic import (
     is_hadamard_direct,
     prohibited_indices,
 )
-from cochad.cocyclic import _coboundary_blocks, _coboundary_point
+from cochad.cocyclic import _coboundary_point
 from cochad.distributions import entry_class_size, enumerate_distributions, is_triangular
 from cochad.group import GroupContext, element_index, index_element, multiply
 from cochad.paths import path_partner, row_sum_via_paths
 from cochad.search import brute_force, export_solutions, run_search, verify_matrix_file
-from oracles import pair_terms_vanish, split_classes
+from oracles import coboundary_blocks, pair_terms_vanish, split_classes
 
 # The admissible budget distributions for every odd t up to 25, in
 # enumeration order.  The t = 25 entry 72 in the third row is forced:
@@ -215,7 +215,7 @@ def test_criterion_7_algebraic_identities():
     for t in (3, 5, 7):
         ctx = GroupContext(t)
         for i in range(1, 4 * t + 1):
-            blocks = _coboundary_blocks(ctx, i)
+            blocks = coboundary_blocks(ctx, i)
             point = _coboundary_point(ctx, i)
             assert np.array_equal(blocks, point)
 

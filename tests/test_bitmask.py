@@ -1,5 +1,6 @@
 """Packed-bit kernels against set-arithmetic oracles and the direct test."""
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -22,6 +23,7 @@ from cochad.bitmask import (
 from cochad.cocyclic import (
     CoboundarySubset,
     assemble_cocyclic,
+    canonicalize,
     is_hadamard_direct,
     prohibited_indices,
 )
@@ -350,6 +352,47 @@ def test_cross_conditions_are_termwise_balance_t5():
 @lru_cache(maxsize=None)
 def _solution_indices(t):
     return tuple(rec.subset.sorted_indices() for rec in run_search(t).solutions())
+
+
+def _canonical_images(t, rows, perm):
+    """Packed 4t-bit keys of canonicalize(g S) for the subsets S of (n, 4)
+    mask rows, g moving cycle position p to perm[p] in every class."""
+    moved = (((rows[..., None] >> np.arange(t)) & 1) << perm).sum(axis=-1)
+    # canonicalize's relation kernels as whole-class XORs in CLASS_ORDER
+    # columns: index 1 (class 1 at position 0) toggles classes 1 and 2,
+    # index 4t - 1 or 4t (class 3 or 0 at t - 1) its class and class 2.
+    for col, pos in ((0, 0), (2, t - 1), (3, t - 1)):
+        moved[:, [col, 1]] ^= ((moved[:, [col]] >> pos) & 1) * ((1 << t) - 1)
+    return (moved << t * np.arange(4)).sum(axis=1)
+
+
+@pytest.mark.parametrize("t, orbits", [(3, 8), (5, 12), (7, 40), (9, 104), (11, 48)])
+def test_affine_maps_permute_the_solutions(t, orbits):
+    # Every p -> u p + c with gcd(u, t) = 1 sends the canonical solutions
+    # onto themselves once canonicalized (bitmask docstring), so the
+    # least key of a solution's images names its orbit.  The mask route
+    # is held to canonicalize itself on one solution per map.  Swapping
+    # positions 0 and 1 is affine at t = 3 (p -> 2p + 1) only; from t = 5
+    # it sends some solution outside the set.
+    ctx = GroupContext(t)
+    solutions = _solution_indices(t)
+    rows = np.array([[split_classes(t, s)[cls] for cls in CLASS_ORDER] for s in solutions])
+    keys = _canonical_images(t, rows, np.arange(t))
+    least = keys
+    for u, c in product(range(1, t), range(t)):
+        if math.gcd(u, t) > 1:
+            continue
+        perm = (u * np.arange(t) + c) % t
+        images = _canonical_images(t, rows, perm)
+        assert np.array_equal(np.sort(images), np.sort(keys))
+        moved = {4 * perm.tolist()[(i - 1) // 4] + (i - 1) % 4 + 1 for i in solutions[0]}
+        canon = split_classes(t, canonicalize(CoboundarySubset(ctx, moved))[0].indices)
+        assert images[0] == sum(canon[cls] << t * j for j, cls in enumerate(CLASS_ORDER))
+        least = np.minimum(least, images)
+    assert len(np.unique(least)) == orbits
+    swap = np.arange(t)
+    swap[[0, 1]] = 1, 0
+    assert np.isin(_canonical_images(t, rows, swap), keys).all() == (t == 3)
 
 
 @st.composite

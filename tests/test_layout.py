@@ -1,8 +1,10 @@
-"""Layout guard: every public name in src/cochad is product code.
+"""Layout guard: every top-level def and class in src/cochad is product
+code.
 
-A public top-level def or class must be used by another statement of
-the package, exported by cochad.__all__, or imported by the acceptance
-gate.  A helper only the other tests read belongs in tests/oracles.py.
+A public one must be used by another statement of the package,
+exported by cochad.__all__, or imported by the acceptance gate; a
+private one must be read by another statement of the package.  A
+helper only the tests read belongs in tests/oracles.py.
 """
 
 import ast
@@ -42,23 +44,38 @@ def _acceptance_imports():
     }
 
 
-def test_public_names_are_product_code():
-    statements = []  # (module, statement, defined name or None)
+def _definitions():
+    """(module, statement, defined name or None) of each top-level
+    statement of the package, and the names each statement reads."""
+    statements = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             defines = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             statements.append((path.stem, node, defines))
+    return statements, [(node, _names_used(node)) for _, node, _ in statements]
+
+
+def _unread(statements, uses, names):
+    """The defined names among names that no other statement reads."""
+    return [
+        f"{module}.{name}"
+        for module, node, name in statements
+        if name in names and not any(other is not node and name in used for other, used in uses)
+    ]
+
+
+def test_public_names_are_product_code():
+    statements, uses = _definitions()
     defined = {f"{module}.{name}" for module, _, name in statements if name}
     assert set(EXEMPT) <= defined, "an exemption names a definition that is gone"
     allowed = set(cochad.__all__) | _acceptance_imports()
-    uses = [(node, _names_used(node)) for _, node, _ in statements]
-    stray = []
-    for module, node, name in statements:
-        if name is None or name.startswith("_") or name in allowed:
-            continue
-        if f"{module}.{name}" in EXEMPT:
-            continue
-        if not any(other is not node and name in used for other, used in uses):
-            stray.append(f"{module}.{name}")
+    public = {name for _, _, name in statements if name and not name.startswith("_")}
+    stray = [name for name in _unread(statements, uses, public - allowed) if name not in EXEMPT]
     assert stray == [], f"public names only tests read: {stray}"
 
+
+def test_private_names_are_read_by_the_package():
+    statements, uses = _definitions()
+    private = {name for _, _, name in statements if name and name.startswith("_")}
+    stray = _unread(statements, uses, private)
+    assert stray == [], f"private names the package never reads: {stray}"

@@ -331,17 +331,6 @@ def test_side_keys_match_digit_keys(t):
         assert sorted(zip(pair.tolist(), u.tolist(), v.tolist())) == want
 
 
-def _split_sides(t, k3, result):
-    """The hits of a mirror pair's join, split into those of the
-    assignment with class-3 size k3 and those of its mirror, and each
-    part's count of distinct recipes by recipe_of."""
-    hits = result[0]
-    own = np.isin(np.bitwise_count(hits[:, 2]), (k3, t - k3))
-    parts = hits[own], hits[~own]
-    recipes = [len({recipe_of(s) for s in _subsets_of_rows(t, part)[0]}) for part in parts]
-    return parts, recipes
-
-
 @pytest.mark.parametrize(
     "t, mirrors, hit_rows", [(3, 1, 6), (5, 2, 40), (7, 2, 210), (9, 5, 810), (11, 5, 1100)]
 )
@@ -350,15 +339,14 @@ def test_mirror_assignments_agree(t, mirrors, hit_rows):
     # negates both coupling terms and keeps every forbidden position, so
     # it maps the join of (e1, e2, e3, e0) one to one onto that of
     # (e1, e2, e0, e3): the first's hits go exactly onto the second's,
-    # with the same counts.  The join of the first also returns the
-    # second's hits without keying it, in one result for the pair; its
-    # class-3 sizes tell the two apart, since k3 != k0 are both at most
-    # t / 2.  They must equal a direct join of the second on its own
-    # catalogs.  The hits alone cannot tell a wrong map: the t = 5 pass
-    # set is closed under swapping classes 3 and 0 alone, so
-    # test_mirror_map holds the map to the row sums.
-    # mirrors counts the pairs, hit_rows the hits of their first
-    # assignments.
+    # with the same counts.  The search joins only the first and takes
+    # the _mirror images of its hits and its counts for the second, so
+    # the two joins on their own catalogs must agree.  The hits alone
+    # cannot tell a wrong map: the t = 5 pass set is closed under
+    # swapping classes 3 and 0 alone, so test_mirror_map holds the map
+    # to the row sums.  mirrors counts the pairs, hit_rows the hits of
+    # their first assignments.
+    join = cochad.search._join_assignment
     found = rows = 0
     for dist in enumerate_distributions(t):
         for assignment in dist.assignments():
@@ -366,19 +354,14 @@ def test_mirror_assignments_agree(t, mirrors, hit_rows):
             if k3 <= k0:
                 continue
             found += 1
-            join = cochad.search._join_assignment
-            result, partner = join(t, k1, k2, k3, k0), join(t, k1, k2, k0, k3)
-            (own, mirror), (own_recipes, mirror_recipes) = _split_sides(t, k3, result)
-            (direct, _), (direct_recipes, _) = _split_sides(t, k0, partner)
-            # Recipe, solution recipe and candidate counts of the pair,
-            # and each side's solution recipes.
-            assert result[1:] == partner[1:]
-            assert own_recipes == mirror_recipes == direct_recipes
-            assert result[2] == own_recipes + mirror_recipes
-            flipped = own[:, [0, 1, 3, 2]] ^ [0, (1 << t) - 1, 0, 0]
-            assert sorted(map(tuple, flipped.tolist())) == sorted(map(tuple, direct.tolist()))
-            assert sorted(map(tuple, mirror.tolist())) == sorted(map(tuple, direct.tolist()))
-            rows += len(own)
+            own, partner = join(t, k1, k2, k3, k0), join(t, k1, k2, k0, k3)
+            # Recipe, solution recipe and candidate counts.
+            assert own[1:] == partner[1:]
+            for hits in own[0], partner[0]:
+                assert len({recipe_of(s) for s in _subsets_of_rows(t, hits)[0]}) == own[2]
+            mirrored = cochad.search._mirror(t, own[0])
+            assert sorted(map(tuple, mirrored.tolist())) == sorted(map(tuple, partner[0].tolist()))
+            rows += len(own[0])
     assert (found, rows) == (mirrors, hit_rows)
 
 
