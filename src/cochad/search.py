@@ -31,7 +31,7 @@ row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
 the least rotation of u2's necklace (recipes.necklace_masks), and c a
 mask of class 1's rotation-closed catalog; a B row (u3, u0) of D3 x D0
 likewise by c from class 3's catalog and n from class 0's
-representatives.  Five facts make this exact:
+representatives.  Six facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
     every term of pair_ci(u, v, m), a popcount of an intersection of
@@ -69,15 +69,31 @@ representatives.  Five facts make this exact:
     rotation keeps that.  So only a key match whose coupling digits
     are all t can pass the row test: its key modulo (2t+1)^((t-1)/2)
     is ((2t+1)^((t-1)/2) - 1) / 2, the coupling key zero.
+  * Complement.  1^T S_m = 1^T, so every column of W sums to zero and
+    pair_ci(~x, y, m) = -pair_ci(x, y, m), ~x the complement in t bits;
+    ~x also has x's head profile.  So (~c, n) is in the profile group j
+    of (c, n) with its coupling negated: with base = (2t+1)^((t-1)/2),
+    its key is 2 j base + base - 1 minus the key of (c, n).  Sizes k
+    and t - k share a catalog, so every group of the class-1 and
+    class-3 catalogs is closed under complement, and the join keys only
+    its masks of fewer than t/2 positions: half the rows.  A match of
+    an A row (c, n) with a B row (c', n') stands also for (~c, n) with
+    (~c', n'), whose keys are both negated alike.  The keys of the rows
+    (~c', n') are the sorted B keys negated with each group's run
+    reversed, sorted with no second sort; probing the A keys against
+    them gives the matches of (c, n) with (~c', n'), each standing also
+    for (~c, n) with (c', n').  These four kinds cover every pair of
+    rows once, and all go through the same decoding, count and test.
 
 So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
-4-tuples, over all matches, are exactly the pairs of domain rows with
-equal keys: each once.  All of them are counted as the candidates
-checked, but by the fifth fact only the matches with a zero coupling
-key go on (7120 of 130384 at t = 13), and by the third each of those
-goes through bitmask.row_test_batch only once per relative shift d
-that stands for a candidate, that is when the A set meets the B set
+4-tuples, over all matches and their complement images, are exactly
+the pairs of domain rows with equal keys: each once.  All of them are
+counted as the candidates checked, but by the fifth fact only the
+matches with a zero coupling key go on (7120 of 130384 at t = 13), and
+by the third each of those goes through bitmask.row_test_batch only
+once per relative shift d that stands for a candidate, that is when
+the A set meets the B set
 rotated by d: one call per assignment, after all its batches, on the
 tuples (A, rot_d B).  A passing tuple gives the hits rot_-r (A, rot_d B)
 = (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
@@ -147,18 +163,24 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15 (~4 s
+# groups and the key fits through t = 19.  The cap stays at 15 (~2.6 s
 # serial): a t = 17 run (13056 solutions) has no second route to confirm
 # its count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
-# many A-side representative rows; a group larger than that is a batch
-# of its own (none is at t <= 15, where the largest holds 10320).  A
-# batch keys, sorts and probes its rows and keeps its zero-coupling
-# matches; it makes no row test of its own.  Measured on run_search(13),
-# 2 cores, three runs each: 2^13 to 2^17 all take 0.45-0.64 s, while
-# peak RSS is 62.0, 61.9, 61.3, 61.1 and 61.1 MB.
+# many keyed A rows, the lower halves of the class-1 catalog's groups;
+# a group larger than that is a batch of its own (none is at t <= 15,
+# where the largest holds 5160).  A batch keys, sorts and probes its
+# rows and keeps its zero-coupling matches; it makes no row test of its
+# own.  Measured on 2 cores, 2^13 to 2^17 in turn, medians (ranges):
+# run_search(13), eight runs each, takes 0.43 (0.40-0.63), 0.41
+# (0.40-0.64), 0.42 (0.40-0.66), 0.44 (0.41-0.68) and 0.44 (0.41-0.67) s
+# at peak RSS 60.9-61.0, 60.1-60.7, 60.6-60.7, 60.5-60.7 and
+# 60.6-60.7 MB; run_search(15), five runs each, 2.8 (2.6-3.3), 2.7
+# (2.5-4.1), 3.0 (2.7-4.1), 3.0 (2.8-4.2) and 3.4 (3.0-3.6) s at
+# 66.0-66.4, 66.2-66.4, 66.6-66.7, 69.9-70.6 and 77.4-77.5 MB.  2^14
+# peaks lowest, and no size is faster beyond the spread.
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
@@ -280,10 +302,11 @@ def _join_side(t: int, x: ClassMasks, y: ClassMasks, codes, sums, coupling) -> _
     codes holds one code per pair (x-major); a pair's group is the
     position of its code in sums.
     """
-    matched = np.nonzero(np.isin(codes, sums))[0]
-    group = np.searchsorted(sums, codes[matched])
-    order = np.argsort(group, kind="stable")
-    px, py = np.divmod(matched[order], len(y.sizes))
+    group = np.searchsorted(sums, codes)
+    # Codes are never negative, so the appended -1 matches no code.
+    matched = np.flatnonzero(np.append(sums, -1)[group] == codes)
+    order = matched[np.argsort(group[matched], kind="stable")]
+    px, py = np.divmod(order, len(y.sizes))
     edges = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
     heads = np.searchsorted(group[order], np.arange(len(sums) + 1))
@@ -331,6 +354,43 @@ def _side_keys(t: int, side: _JoinSide, g: int, h: int):
     return keys[order], order, rows_at
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values of a 1-d array.
+
+    A plain np.unique imports numpy.ma (~10 ms and ~1 MB of max RSS with
+    numpy 2.4); a sort and a neighbour compare do not.
+    """
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _lower_half(t: int, catalog: ClassMasks) -> ClassMasks:
+    """The masks of a class_masks catalog with fewer than t / 2 positions.
+
+    Complements share profiles, so every profile group is closed under
+    complement and keeps exactly half of its masks.
+    """
+    return catalog.select(np.bitwise_count(catalog.flat) < t / 2)
+
+
+def _matches(akey, bkey):
+    """Every pair (i, j) with akey[i] == bkey[j], of two sorted key arrays.
+
+    One left probe per A key and an equality test find the A keys that
+    match, and only those are probed on the right for their run of B
+    keys; bkey must not be empty.  Sorted probes walk bkey in order,
+    which is several times faster than probing it at random.
+    """
+    first = np.searchsorted(bkey, akey)
+    hit = np.flatnonzero(bkey.take(first, mode="clip") == akey)
+    first = first[hit]
+    reps = np.searchsorted(bkey, akey[hit], side="right") - first
+    i = np.repeat(hit, reps)
+    return i, np.repeat(first - np.cumsum(reps) + reps, reps) + np.arange(len(i))
+
+
 def _valid_shifts(t: int, forb: int, masks, periods):
     """The rotations rot_-r of a side's rows that stay in its class domains.
 
@@ -360,13 +420,17 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     is a batch of its own), and joined on (group, coupling scores); the
     keys come from one float64 product per matched profile pair (see
     _side_keys), and a row is built from its key position only when its
-    key matches.  Each matched (A row, B row) stands for its valid
-    rotations on either side, the candidates it counts.  Only the
-    matches whose coupling key is zero can pass (termwise balance), so
-    each batch keeps just those, and after the last batch one
-    row_test_batch call tests every kept match (A, B) as (A, rot_d B),
-    for each d that stands for a candidate.  A passing tuple gives its
-    rotations by -r as hits, over the r valid on both sides.
+    key matches.  Only the lower half of each class-1 and class-3
+    catalog is keyed; its A keys are probed against the B keys and
+    against the B complements' keys, and each match also gives its
+    complement image (the module docstring's Complement fact).  Each
+    matched (A row, B row) stands for its valid rotations on either
+    side, the candidates it counts.  Only the matches whose coupling key
+    is zero can pass (termwise balance), so each batch keeps just those,
+    and after the last batch one row_test_batch call tests every kept
+    match (A, B) as (A, rot_d B), for each d that stands for a
+    candidate.  A passing tuple gives its rotations by -r as hits, over
+    the r valid on both sides.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -374,15 +438,19 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
     # so a pair's digit sums stay below the base t + 1 and t minus a
     # pair's digits stays positive; no carry or borrow can occur.
-    full = (t + 1) ** tables.half - 1
+    top = (t + 1) ** tables.half - 1
     acodes = (c1.codes[:, None] + n2.codes[None, :]).ravel()
-    bcodes = (full - c3.codes[:, None] - n0.codes[None, :]).ravel()
-    sums = np.intersect1d(acodes, bcodes)
-    a = _join_side(t, c1, n2, acodes, sums, tables.coupling)
-    b = _join_side(t, c3, n0, bcodes, sums, -tables.coupling)
+    bcodes = (top - c3.codes[:, None] - n0.codes[None, :]).ravel()
+    both = np.sort(np.concatenate([_distinct(acodes), _distinct(bcodes)]))
+    sums = both[1:][both[1:] == both[:-1]]
+    # Only the class-1 and class-3 masks of fewer than t/2 positions are
+    # keyed (the Complement fact).
+    a = _join_side(t, _lower_half(t, c1), n2, acodes, sums, tables.coupling)
+    b = _join_side(t, _lower_half(t, c3), n0, bcodes, sums, -tables.coupling)
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
+    full = (1 << t) - 1
     shifts = np.arange(t)
     # (rows, va, vb, recipe) of each batch's zero-coupling matches.
     kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 3)]
@@ -391,30 +459,40 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
         bkey, border, brows = _side_keys(t, b, g, h)
         akey, aorder, arows = _side_keys(t, a, g, h)
-        # Sorted probes walk bkey in order, which is several times
-        # faster than probing it at random.
-        first = np.searchsorted(bkey, akey, side="left")
-        cnt = np.searchsorted(bkey, akey, side="right") - first
-        nz = np.nonzero(cnt)[0]
-        reps = cnt[nz]
+        # The keys of the complements ~B: a key j base + c becomes
+        # j base + base - 1 - c, so reversing each group's run of bkey
+        # (its rows, from b.edges) sorts them.
+        runs = b.edges[b.heads[g : h + 1]] - b.edges[b.heads[g]]
+        flip = np.repeat(runs[:-1] + runs[1:] - 1, np.diff(runs)) - np.arange(len(bkey))
+        nkey = bkey[flip]
+        nkey += base - 1 - 2 * (nkey % base)
         # Key match i joins the A row at key position ia[i] to the B row
-        # at ib[i]; only these rows are built.
-        ia = np.repeat(aorder[nz], reps)
-        ib = border[np.repeat(first[nz] - np.cumsum(reps) + reps, reps) + np.arange(len(ia))]
+        # at ib[i], or to its complement from the first `plain` on; only
+        # these rows are built.
+        i, j = _matches(akey, bkey)
+        i2, j2 = _matches(akey, nkey)
+        plain = len(i)
+        i = np.concatenate([i, i2])
+        ia, ib = aorder[i], border[np.concatenate([j, flip[j2]])]
         # A solution has every pair term zero (termwise balance, see
         # bitmask), so only a match whose coupling digits are all t can
         # pass the row test.
-        zero = np.repeat(akey[nz] % base == base // 2, reps)
+        zero = np.tile(akey[i] % base == base // 2, 2)
         # Freeing the batch's keys before its matched rows are built holds
         # run_search(13)'s peak RSS ~0.5 MB lower.
-        del akey, bkey, aorder, border, first, cnt
+        del akey, bkey, nkey, aorder, border, flip, i, j, i2, j2
         u1, u2, p2, apair = arows(ia)
         u3, u0, p0, bpair = brows(ib)
+        u3[plain:] ^= full
+        # Each match (A, B) also stands for its complement image
+        # (~u1, u2, ~u3, u0), whose two keys are negated alike.
+        u1, u3 = np.concatenate([u1, u1 ^ full]), np.concatenate([u3, u3 ^ full])
+        u2, u0, p2, p0 = (np.tile(v, 2) for v in (u2, u0, p2, p0))
         # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
         va = _valid_shifts(t, forbidden_position(1, t), u1, p2)
         vb = _valid_shifts(t, forbidden_position(3, t), u3 | u0, p0)
         checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
-        recipe = apair * len(b.px) + bpair
+        recipe = np.tile(apair * len(b.px) + bpair, 2)
         rows = np.stack([u1, u2, u3, u0], axis=1)[zero]
         kept.append((rows, va[zero], vb[zero], recipe[zero]))
         g = h
@@ -433,7 +511,7 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
     found = rotate(t, tested[k], (t - r[:, None]) % t)
     # A rotation keeps the profiles, so a hit's recipe is its match's.
-    return found, recipe_count, len(np.unique(recipe[i[k]])), checked
+    return found, recipe_count, len(_distinct(recipe[i[k]])), checked
 
 
 def _mirror(t: int, rows):
@@ -457,9 +535,8 @@ def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
     ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
     indices = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
     # A set of the tuples, not np.unique(rows, axis=0), which imports
-    # numpy.ma (~10 ms, ~1 MB of max RSS with numpy 2.4).  That saves
-    # the import in brute_force only: run_search imports numpy.ma anyway,
-    # through np.intersect1d in the join.
+    # numpy.ma (~10 ms, ~1 MB of max RSS with numpy 2.4); like the join's
+    # _distinct, it keeps that import out of run_search and brute_force.
     if len(set(indices)) != len(indices):
         raise AssertionError("mask rows produced overlapping subsets")
     order = sorted(range(len(rows)), key=indices.__getitem__)

@@ -1,7 +1,10 @@
 """Pruned search, brute-force scan, certification, and export."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -206,19 +209,26 @@ def test_rotations_of_representatives_are_the_class_domains(t):
 
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
-    # or one larger group; at 97 most t = 9 groups are batches of their
-    # own.  Every batch counts the candidates of all its key matches and
-    # keeps those whose coupling key is zero; each joined assignment
-    # then makes one row test of its kept matches, once per relative
-    # shift that stands for a candidate, whatever the batches.  Its
-    # mirror is never keyed or row-tested.
+    # or one larger group; at 48 most t = 9 groups are batches of their
+    # own.  Every batch keys only the lower half of each class-1 and
+    # class-3 catalog, counts the candidates of all its key matches and
+    # of their complement images, and keeps those whose coupling key is
+    # zero; each joined assignment then makes one row test of its kept
+    # matches, once per relative shift that stands for a candidate,
+    # whatever the batches.  Its mirror is never keyed or row-tested.
     events = []
     batches = []  # (groups, keyed rows) of each side of each batch
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
-    size_of = {id(cat(9, k)): k for cat in (class_masks, necklace_masks) for k in range(5)}
+
+    def size_of(catalog):
+        """The class size of a catalog: its least popcount, as sizes k
+        and t - k share a catalog and k <= t / 2."""
+        return int(np.bitwise_count(catalog.flat).min())
 
     def side_keys(t, side, g, h):
-        events.append((size_of[id(side.x)], size_of[id(side.y)]))
+        # The keyed catalog side holds one popcount, below t / 2.
+        assert len(set(np.bitwise_count(side.x.flat).tolist())) == 1
+        events.append((size_of(side.x), size_of(side.y)))
         keys, order, rows_at = real_keys(t, side, g, h)
         batches.append((h - g, len(keys)))
         return keys, order, rows_at
@@ -248,10 +258,14 @@ def test_join_batches_do_not_change_results(monkeypatch):
     monkeypatch.setattr(cochad.search, "row_test_batch", row_test_batch)
     default = run_search(9)
     default_joins = joins()
-    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 97)
+    # Half of the 37008 rows that keying both masks of every complement
+    # pair would take.
+    assert sum(rows for _, rows in batches) == 18504
+    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 48)
     batches.clear()
     tiny = run_search(9)
     tiny_joins = joins()
+    assert sum(rows for _, rows in batches) == 18504
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
     # Only the assignments with k3 >= k0 are keyed; the rest are their
@@ -269,8 +283,8 @@ def test_join_batches_do_not_change_results(monkeypatch):
         assert sum(rows for _, _, rows in runs) == 15278
     assert sum(n for _, n, _ in tiny_joins) > sum(n for _, n, _ in default_joins)
     abatches = batches[1::2]
-    assert all(groups == 1 or rows <= 97 for groups, rows in abatches)
-    assert sum(groups == 1 and rows > 97 for groups, rows in abatches) > len(abatches) // 2
+    assert all(groups == 1 or rows <= 48 for groups, rows in abatches)
+    assert sum(groups == 1 and rows > 48 for groups, rows in abatches) > len(abatches) // 2
 
 
 def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
@@ -329,6 +343,45 @@ def test_side_keys_match_digit_keys(t):
             for ym in y.flat[y.starts[py[p]] : y.starts[py[p]] + y.sizes[py[p]]].tolist()
         )
         assert sorted(zip(pair.tolist(), u.tolist(), v.tolist())) == want
+
+
+@pytest.mark.parametrize("t", range(3, 15, 2))
+def test_complement_negates_coupling_key(t):
+    # 1^T S_m = 1^T, so 1^T W = 0 and pair_ci(~c, n, m) = -pair_ci(c, n, m):
+    # the join keys (~c, n) at 2 (j base + base // 2) minus the key of
+    # (c, n), in the same group j, and keys only the lower half of each
+    # class-1 and class-3 catalog.  Every profile group must then be
+    # closed under complement, so that the half holds half of each.
+    tables = mask_tables(t)
+    assert not tables.coupling.sum(axis=0).any()
+    base, full = (2 * t + 1) ** tables.half, (1 << t) - 1
+    rng = np.random.default_rng(t)
+    c, n = rng.integers(0, 1 << t, size=(2, 500))
+    j = rng.integers(0, 1000, size=500)
+    for sign in (1, -1):
+        key = coupling_key(tables, j, c, n, sign)
+        negated = coupling_key(tables, j, c ^ full, n, sign)
+        assert np.array_equal(negated, 2 * (j * base + base // 2) - key)
+    for k in range(t // 2 + 1):
+        catalog = class_masks(t, k)
+        for lo, size in zip(catalog.starts.tolist(), catalog.sizes.tolist()):
+            group = set(catalog.flat[lo : lo + size].tolist())
+            assert {full ^ mask for mask in group} == group
+        half = cochad.search._lower_half(t, catalog)
+        assert np.array_equal(half.codes, catalog.codes)
+        assert np.array_equal(half.sizes, catalog.sizes // 2)
+        assert (np.bitwise_count(half.flat) == k).all()
+
+
+def test_search_leaves_numpy_ma_unimported():
+    # A plain np.unique or np.intersect1d imports numpy.ma (~10 ms and
+    # ~1 MB of max RSS with numpy 2.4); the join sorts instead, so a
+    # search in a fresh interpreter never imports it.
+    src = str(Path(cochad.search.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from cochad.search import run_search; run_search(5); print('numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
