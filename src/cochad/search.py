@@ -28,10 +28,12 @@ matches, and only then is decoded to its masks.
 
 The mask rows are keyed on rotation-orbit representatives only.  An A
 row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
-the least rotation of u2's necklace (recipes.necklace_masks), and c a
-mask of class 1's rotation-closed catalog; a B row (u3, u0) of D3 x D0
-likewise by c from class 3's catalog and n from class 0's
-representatives.  Six facts make this exact:
+one mask of u2's necklace, and c a mask of class 1's rotation-closed
+catalog; a B row (u3, u0) of D3 x D0 likewise by c from class 3's
+catalog and n from u0's necklace.  The join keys only masks of fewer
+than t/2 positions, so n is the least rotation of its necklace
+(recipes.necklace_masks) or the complement of one.  Six facts make this
+exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
     every term of pair_ci(u, v, m), a popcount of an intersection of
@@ -40,13 +42,14 @@ representatives.  Six facts make this exact:
     coupling key, and hence every key match, hold for all its rotations
     at once.
   * Bijection.  Each (u1, u2) is rot_-r(c, n) for exactly one
-    (c, n, r) with 0 <= r < period(n): n and r are fixed by u2, because
-    the rotations of n below its period are distinct, and then
-    c = rot_r(u1) is in the catalog, which is closed under rotation.
-    The row is in D1 x D2 exactly when rot_-r(c) avoids class 1's
-    forbidden position f (class 2 has none), that is when bit r of
-    rot_-f(c) is clear; a B row is in D3 x D0 when rot_-r(c | n)
-    avoids t - 1.  So the valid r of each side form one t-bit set.
+    (c, n, r) with 0 <= r < period(n): n and r are fixed by u2, as
+    its necklace has one representative and the rotations of n below
+    its period are distinct, and then c = rot_r(u1) is in the catalog,
+    which is closed under rotation.  The row is in D1 x D2 exactly when
+    rot_-r(c) avoids class 1's forbidden position f (class 2 has none),
+    that is when bit r of rot_-f(c) is clear; a B row is in D3 x D0 when
+    rot_-r(c | n) avoids t - 1.  So the valid r of each side form one
+    t-bit set.
   * Relative shift.  The row test sees the four masks only through
     such popcounts and the head profiles, so rotating all four together
     keeps its verdict: (rot_-r A, rot_-r' B) passes exactly when
@@ -69,49 +72,51 @@ representatives.  Six facts make this exact:
     rotation keeps that.  So only a key match whose coupling digits
     are all t can pass the row test: its key modulo (2t+1)^((t-1)/2)
     is ((2t+1)^((t-1)/2) - 1) / 2, the coupling key zero.
-  * Complement.  1^T S_m = 1^T, so every column of W sums to zero and
-    pair_ci(~x, y, m) = -pair_ci(x, y, m), ~x the complement in t bits;
-    ~x also has x's head profile.  So (~c, n) is in the profile group j
-    of (c, n) with its coupling negated: with base = (2t+1)^((t-1)/2),
-    its key is 2 j base + base - 1 minus the key of (c, n).  Sizes k
-    and t - k share a catalog, so every group of the class-1 and
-    class-3 catalogs is closed under complement, and the join keys only
-    its masks of fewer than t/2 positions: half the rows.  A match of
-    an A row (c, n) with a B row (c', n') stands also for (~c, n) with
-    (~c', n'), whose keys are both negated alike.  The keys of the rows
-    (~c', n') are the sorted B keys negated with each group's run
-    reversed, sorted with no second sort; probing the A keys against
-    them gives the matches of (c, n) with (~c', n'), each standing also
-    for (~c, n) with (c', n').  These four kinds cover every pair of
-    rows once, and all go through the same decoding, count and test.
+  * Even complements.  1^T S_m = 1^T and S_m 1 = 1, so A = S_m - S_m^T
+    has 1^T A = A 1 = 0: complementing one argument of pair_ci negates
+    it (~x the complement in t bits), and complementing both keeps it.
+    A complement keeps the head profile and the period.  So
+    complementing some of the four masks of an (A row, B row) pair keeps
+    both groups and multiplies each side's coupling score by -1 to the
+    number of its two masks complemented: an even number in all (the
+    eight patterns of _EVEN) keeps every key match, and an odd number
+    turns the pairs with scores z = z' into those with z = -z'.  Every
+    group of all four catalogs is closed under complement, as sizes k
+    and t - k share a catalog, so the join keys only masks of fewer
+    than t/2 positions and probes the A keys into the B keys twice: as
+    they are (z = z'), and negated (z = -z'), where a key j base + c of
+    group j becomes (2j + 1) base - 1 - (j base + c), base =
+    (2t+1)^((t-1)/2).  A match of the first probe stands for its eight
+    even images, and one of the second, a match of (~c, n), for its own
+    eight, the odd images of (c, n).  These cover every pair of rows
+    with equal keys once, and all go through the same decoding, count
+    and test.
 
 So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
-4-tuples, over all matches and their complement images, are exactly
+4-tuples, over the even complement images of all matches, are exactly
 the pairs of domain rows with equal keys: each once.  All of them are
 counted as the candidates checked, but by the fifth fact only the
-matches with a zero coupling key go on (7120 of 130384 at t = 13), and
+images with a zero coupling key go on (7120 of 130384 at t = 13), and
 by the third each of those goes through bitmask.row_test_batch only
 once per relative shift d that stands for a candidate, that is when
-the A set meets the B set
-rotated by d: one call per assignment, after all its batches, on the
-tuples (A, rot_d B).  A passing tuple gives the hits rot_-r (A, rot_d B)
-= (rot_-r A, rot_{d-r} B) over the set bits r of that intersection.
-By the fourth fact, only the assignments whose class sizes have
-k3 >= k0 are joined, one at a time; the mirror of one with k3 > k0 is
-never keyed, sorted, probed or row-tested: the search adds the images
-of its partner's hits and the partner's totals once more.
-row_test_batch is the one statement of all the row conditions: it
-settles the rows congruent to 3 and 0 and re-checks those congruent to
-1 and 2 on the few survivors.  The join also counts the report's
-recipe columns: every matched (A profile pair, B profile pair), and the
-distinct ones among its hits; a rotation keeps the profiles, so a hit's
-recipe is its representatives'.  Its hits stay (n, 4) mask rows until
-the call that searches a distribution turns them into sorted subsets
-and their index membership rows, and certifies every one by the direct
-orthogonality test, assembled and tested in stacks of _CERTIFY_BATCH
-matrices (one gram product per matrix), so each --jobs worker returns
-only what it has certified itself.
+the A set meets the B set rotated by d: one call per assignment, after
+all its batches, on the tuples (A, rot_d B).  A passing tuple gives the
+hits rot_-r (A, rot_d B) = (rot_-r A, rot_{d-r} B) over the set bits r
+of that intersection.  By the fourth fact, only the assignments whose
+class sizes have k3 >= k0 are joined, one at a time; the mirror of one
+with k3 > k0 is never keyed, sorted, probed or row-tested: the search
+adds the images of its partner's hits and the partner's totals once
+more.  row_test_batch is the one statement of all the row conditions:
+it settles the rows congruent to 3 and 0 and re-checks those congruent
+to 1 and 2 on the few survivors.  The join counts the report's recipe
+column, every matched (A profile pair, B profile pair).  Its hits stay
+(n, 4) mask rows until the call that searches a distribution counts
+their solution recipes, the distinct 4-tuples of class profiles,
+turns them into sorted subsets and their index membership rows, and
+certifies every one by the direct orthogonality test, in stacks of
+_CERTIFY_BATCH matrices (one gram product per matrix), so each --jobs
+worker returns only what it has certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
@@ -143,6 +148,7 @@ from .bitmask import (
     CLASS_ORDER,
     ResourceLimitError,
     forbidden_position,
+    ingredient_counts,
     join_classes,
     mask_tables,
     rotate,
@@ -163,24 +169,24 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
 # Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15 (~2.6 s
+# groups and the key fits through t = 19.  The cap stays at 15 (~1.5 s
 # serial): a t = 17 run (13056 solutions) has no second route to confirm
 # its count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
-# many keyed A rows, the lower halves of the class-1 catalog's groups;
-# a group larger than that is a batch of its own (none is at t <= 15,
-# where the largest holds 5160).  A batch keys, sorts and probes its
-# rows and keeps its zero-coupling matches; it makes no row test of its
-# own.  Measured on 2 cores, 2^13 to 2^17 in turn, medians (ranges):
-# run_search(13), eight runs each, takes 0.43 (0.40-0.63), 0.41
-# (0.40-0.64), 0.42 (0.40-0.66), 0.44 (0.41-0.68) and 0.44 (0.41-0.67) s
-# at peak RSS 60.9-61.0, 60.1-60.7, 60.6-60.7, 60.5-60.7 and
-# 60.6-60.7 MB; run_search(15), five runs each, 2.8 (2.6-3.3), 2.7
-# (2.5-4.1), 3.0 (2.7-4.1), 3.0 (2.8-4.2) and 3.4 (3.0-3.6) s at
-# 66.0-66.4, 66.2-66.4, 66.6-66.7, 69.9-70.6 and 77.4-77.5 MB.  2^14
-# peaks lowest, and no size is faster beyond the spread.
+# many keyed A rows, the lower halves of the class-1 catalog and class-2
+# necklaces; a group larger than that is a batch of its own (none is at
+# t <= 15, where the largest holds 2580).  A batch keys, sorts and
+# probes its rows and keeps its zero-coupling images; it makes no row
+# test of its own.  Measured on 2 cores, 2^12 to 2^15 in turn, medians
+# (ranges): run_search(13), eight runs each, takes 0.31 (0.31-0.37),
+# 0.31 (0.30-0.33), 0.31 (0.30-0.32) and 0.31 (0.30-0.34) s at peak RSS
+# 61.1-61.2, 60.8-60.9, 60.7-60.9 and 60.6-60.8 MB; run_search(15), ten
+# runs each at 2^14 and 2^15, five below, 1.64 (1.56-1.80), 1.64
+# (1.58-1.73), 1.49 (1.43-1.63) and 1.51 (1.45-1.74) s at 65.6-66.2,
+# 65.5-66.2, 65.4-66.0 and 65.2-65.9 MB.  From 2^14 on no size is faster
+# or lower beyond the spread.
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
@@ -200,6 +206,10 @@ _BRUTE_LIMIT_BITS = 25
 # 0.29, 0.25 and 0.28 s at 38.2, 38.1, 37.6 and 38.1 MB peak RSS, where
 # one call per (class 1, class 2) pair took 2.07 s at 37.6 MB.
 _BRUTE_SLAB_ROWS = 1 << 18
+
+# The even complement patterns of a mask row, one 0/1 flag per class in
+# CLASS_ORDER; each keeps every key match (the Even complements fact).
+_EVEN = np.array([p for p in np.ndindex(2, 2, 2, 2) if sum(p) % 2 == 0])
 
 
 @dataclass(frozen=True)
@@ -328,7 +338,7 @@ def _side_keys(t: int, side: _JoinSide, g: int, h: int):
     2t sum_m (2t+1)^(half-m), 2.1e14 at t = 19, below 2^53.  The group
     offset passes 2^53 by t = 17, so it is added in int64.  Returns the
     sorted keys, their key positions and a function that maps key
-    positions back to the x mask, y mask, y period and pair of a row.
+    positions back to the x mask, y mask and y period of a row.
     """
     base = (2 * t + 1) ** ((t - 1) // 2)
     x, y = side.x, side.y
@@ -349,7 +359,7 @@ def _side_keys(t: int, side: _JoinSide, g: int, h: int):
         q = np.searchsorted(at, pos, side="right") - 1
         i, j = np.divmod(pos - at[q], ny[q])
         iy = ys[q] + j
-        return x.flat[xs[q] + i], y.flat[iy], y.periods[iy], first + q
+        return x.flat[xs[q] + i], y.flat[iy], y.periods[iy]
 
     return keys[order], order, rows_at
 
@@ -367,10 +377,11 @@ def _distinct(values) -> np.ndarray:
 
 
 def _lower_half(t: int, catalog: ClassMasks) -> ClassMasks:
-    """The masks of a class_masks catalog with fewer than t / 2 positions.
+    """The masks of a catalog with fewer than t / 2 positions.
 
-    Complements share profiles, so every profile group is closed under
-    complement and keeps exactly half of its masks.
+    Complements share profiles, so a class_masks group is closed under
+    complement and a necklace_masks group under complementing necklaces:
+    either keeps exactly half of its masks.
     """
     return catalog.select(np.bitwise_count(catalog.flat) < t / 2)
 
@@ -410,27 +421,25 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     k1, k2, k3 and k0 are the class sizes the assignment gives classes
     1, 2, 3 and 0; the join reads the catalogs of classes 1 and 3 and
     the necklace representatives of classes 2 and 0 (see the module
-    docstring).  Returns (masks (n, 4), recipe count, solution recipe
-    count, candidates checked).  Profiles are matched first: an A
-    profile pair (classes 1, 2) meets a B pair (classes 3, 0) when its
-    code sum equals t in every digit minus the B pair's codes, and each
-    such meeting is one recipe; the solution recipes are the distinct
-    meetings among the hits.  Only matched pairs are keyed, in batches
-    of whole groups holding at most _CHUNK_ROWS A rows (a larger group
-    is a batch of its own), and joined on (group, coupling scores); the
-    keys come from one float64 product per matched profile pair (see
-    _side_keys), and a row is built from its key position only when its
-    key matches.  Only the lower half of each class-1 and class-3
-    catalog is keyed; its A keys are probed against the B keys and
-    against the B complements' keys, and each match also gives its
-    complement image (the module docstring's Complement fact).  Each
-    matched (A row, B row) stands for its valid rotations on either
-    side, the candidates it counts.  Only the matches whose coupling key
-    is zero can pass (termwise balance), so each batch keeps just those,
-    and after the last batch one row_test_batch call tests every kept
-    match (A, B) as (A, rot_d B), for each d that stands for a
-    candidate.  A passing tuple gives its rotations by -r as hits, over
-    the r valid on both sides.
+    docstring).  Returns (masks (n, 4), recipe count, candidates
+    checked).  Profiles are matched first: an A profile pair (classes 1,
+    2) meets a B pair (classes 3, 0) when its code sum equals t in every
+    digit minus the B pair's codes, and each such meeting is one recipe.
+    Only matched pairs are keyed, in batches of whole groups holding at
+    most _CHUNK_ROWS A rows (a larger group is a batch of its own), and
+    joined on (group, coupling scores); the keys come from one float64
+    product per matched profile pair (see _side_keys), and a row is
+    built from its key position only when its key matches.  Only the
+    lower half of each of the four catalogs is keyed; the A keys and
+    the A complements' keys are probed into the B keys, and each match
+    stands for its eight even complement images (the module docstring's
+    Even complements fact).  Each image (A row, B row) stands for its
+    valid rotations on either side, the candidates it counts.  Only the
+    images whose coupling key is zero can pass (termwise balance), so
+    each batch keeps just those, and after the last batch one
+    row_test_batch call tests every kept image (A, B) as (A, rot_d B),
+    for each d that stands for a candidate.  A passing tuple gives its
+    rotations by -r as hits, over the r valid on both sides.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -443,60 +452,49 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     bcodes = (top - c3.codes[:, None] - n0.codes[None, :]).ravel()
     both = np.sort(np.concatenate([_distinct(acodes), _distinct(bcodes)]))
     sums = both[1:][both[1:] == both[:-1]]
-    # Only the class-1 and class-3 masks of fewer than t/2 positions are
-    # keyed (the Complement fact).
-    a = _join_side(t, _lower_half(t, c1), n2, acodes, sums, tables.coupling)
-    b = _join_side(t, _lower_half(t, c3), n0, bcodes, sums, -tables.coupling)
+    # Only the masks of fewer than t/2 positions are keyed (even complements).
+    a = _join_side(t, _lower_half(t, c1), _lower_half(t, n2), acodes, sums, tables.coupling)
+    b = _join_side(t, _lower_half(t, c3), _lower_half(t, n0), bcodes, sums, -tables.coupling)
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
     full = (1 << t) - 1
     shifts = np.arange(t)
-    # (rows, va, vb, recipe) of each batch's zero-coupling matches.
-    kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 3)]
+    # (rows, va, vb) of each batch's zero-coupling images.
+    kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 2)]
     checked = g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
         bkey, border, brows = _side_keys(t, b, g, h)
         akey, aorder, arows = _side_keys(t, a, g, h)
-        # The keys of the complements ~B: a key j base + c becomes
-        # j base + base - 1 - c, so reversing each group's run of bkey
-        # (its rows, from b.edges) sorts them.
-        runs = b.edges[b.heads[g : h + 1]] - b.edges[b.heads[g]]
-        flip = np.repeat(runs[:-1] + runs[1:] - 1, np.diff(runs)) - np.arange(len(bkey))
-        nkey = bkey[flip]
-        nkey += base - 1 - 2 * (nkey % base)
-        # Key match i joins the A row at key position ia[i] to the B row
-        # at ib[i], or to its complement from the first `plain` on; only
-        # these rows are built.
+        # Key match i joins the A row at key position ia[i] to the B row at
+        # ib[i]; from the first `plain` on, with the A row's class-1 mask
+        # complemented (key j base + c negated to j base + base - 1 - c).
         i, j = _matches(akey, bkey)
-        i2, j2 = _matches(akey, nkey)
+        i2, j2 = _matches((2 * (akey // base) + 1) * base - 1 - akey, bkey)
         plain = len(i)
         i = np.concatenate([i, i2])
-        ia, ib = aorder[i], border[np.concatenate([j, flip[j2]])]
+        ia, ib = aorder[i], border[np.concatenate([j, j2])]
         # A solution has every pair term zero (termwise balance, see
         # bitmask), so only a match whose coupling digits are all t can
         # pass the row test.
-        zero = np.tile(akey[i] % base == base // 2, 2)
+        zero = np.repeat(akey[i] % base == base // 2, len(_EVEN))
         # Freeing the batch's keys before its matched rows are built holds
         # run_search(13)'s peak RSS ~0.5 MB lower.
-        del akey, bkey, nkey, aorder, border, flip, i, j, i2, j2
-        u1, u2, p2, apair = arows(ia)
-        u3, u0, p0, bpair = brows(ib)
-        u3[plain:] ^= full
-        # Each match (A, B) also stands for its complement image
-        # (~u1, u2, ~u3, u0), whose two keys are negated alike.
-        u1, u3 = np.concatenate([u1, u1 ^ full]), np.concatenate([u3, u3 ^ full])
-        u2, u0, p2, p0 = (np.tile(v, 2) for v in (u2, u0, p2, p0))
+        del akey, bkey, aorder, border, i, j, i2, j2
+        u1, u2, p2 = arows(ia)
+        u3, u0, p0 = brows(ib)
+        u1[plain:] ^= full
+        # Each match stands for its eight even complement images.
+        rows = (np.stack([u1, u2, u3, u0], axis=1)[:, None] ^ _EVEN * full).reshape(-1, 4)
+        p2, p0 = np.repeat(p2, len(_EVEN)), np.repeat(p0, len(_EVEN))
         # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
-        va = _valid_shifts(t, forbidden_position(1, t), u1, p2)
-        vb = _valid_shifts(t, forbidden_position(3, t), u3 | u0, p0)
+        va = _valid_shifts(t, forbidden_position(1, t), rows[:, 0], p2)
+        vb = _valid_shifts(t, forbidden_position(3, t), rows[:, 2] | rows[:, 3], p0)
         checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
-        recipe = np.tile(apair * len(b.px) + bpair, 2)
-        rows = np.stack([u1, u2, u3, u0], axis=1)[zero]
-        kept.append((rows, va[zero], vb[zero], recipe[zero]))
+        kept.append((rows[zero], va[zero], vb[zero]))
         g = h
-    rows, va, vb, recipe = (np.concatenate(part) for part in zip(*kept))
+    rows, va, vb = (np.concatenate(part) for part in zip(*kept))
     # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
     # which is rot_-r of the tested tuple (A, rot_d B) and passes exactly
     # when it does, so each match is tested once per d that stands for a
@@ -509,9 +507,7 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     # A passing (i, d) gives one hit per set bit r of live[i, d].
     i, d, tested = i[ok], d[ok], tested[ok]
     k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
-    found = rotate(t, tested[k], (t - r[:, None]) % t)
-    # A rotation keeps the profiles, so a hit's recipe is its match's.
-    return found, recipe_count, len(_distinct(recipe[i[k]])), checked
+    return rotate(t, tested[k], (t - r[:, None]) % t), recipe_count, checked
 
 
 def _mirror(t: int, rows):
@@ -556,24 +552,26 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     # An assignment with k3 < k0 is the mirror of (k1, k2, k0, k3), onto
     # whose hits, recipes and candidates it maps one to one (see the
     # module docstring), so it is never joined: its hits are the _mirror
-    # images of its partner's.  Assignments differ in some class budget,
-    # so no recipe repeats across them.
-    rows, recipe_count, solution_recipe_count, checked = [], 0, 0, 0
+    # images of its partner's.
+    rows, recipe_count, checked = [], 0, 0
     for k1, k2, k3, k0 in (tuple(sizes[e] for e in a) for a in distribution.assignments()):
         if k3 < k0:
             continue
-        found, recipes, solution_recipes, candidates = _join_assignment(t, k1, k2, k3, k0)
+        found, recipes, candidates = _join_assignment(t, k1, k2, k3, k0)
         sides = 1 if k3 == k0 else 2
         rows.append(found)
         if sides == 2:
             rows.append(_mirror(t, found))
         recipe_count += sides * recipes
-        solution_recipe_count += sides * solution_recipes
         checked += sides * candidates
+    rows = np.concatenate(rows)
+    # A hit's recipe is the 4-tuple of its class profiles; assignments
+    # differ in some class budget, so no recipe repeats across them.
+    solution_recipes = {p.tobytes() for p in ingredient_counts(mask_tables(t), rows).transpose(1, 0, 2)}
     # Subsets are built once the joins are done: at t = 13 building and
     # sorting the 8424 subsets takes ~0.13 s, and built between joins
     # they raised the peak RSS from 61.8 to 63.5 MB.
-    subsets, member = _subsets_of_rows(t, np.concatenate(rows))
+    subsets, member = _subsets_of_rows(t, rows)
     for lo in range(0, len(subsets), _CERTIFY_BATCH):
         ok = is_hadamard_direct(assemble_members(t, member[lo : lo + _CERTIFY_BATCH]))
         if not np.all(ok):
@@ -584,7 +582,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
         distribution=distribution,
         ingredient_counts=tuple(len(class_masks(t, sizes[e]).codes) for e in distribution.entries),
         recipe_count=recipe_count,
-        solution_recipe_count=solution_recipe_count,
+        solution_recipe_count=len(solution_recipes),
         solutions=tuple(SolutionRecord(subset) for subset in subsets),
     )
     return report, checked

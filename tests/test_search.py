@@ -181,20 +181,25 @@ def test_candidates_checked_frozen():
 
 @pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
 def test_rotations_of_representatives_are_the_class_domains(t):
-    # The join keys (c, n) with n a necklace representative; a match
-    # stands for the rotations rot_-r whose bit r its side's valid set
-    # holds.  Over every pair of class sizes (k and t - k share a
+    # The join keys (c, n) from the lower halves of a catalog and of its
+    # necklace representatives, and each match stands also for its
+    # complement images: c or ~c, and n or ~n, which has n's period.  A
+    # row stands for the rotations rot_-r whose bit r its side's valid
+    # set holds.  Over every pair of class sizes (k and t - k share a
     # catalog), those rotations must give each row of the two class
     # domains exactly once.
+    full = (1 << t) - 1
     sizes = range(t // 2 + 1)
     for (xcls, ycls), kx, ky in product(((1, 2), (3, 0)), sizes, sizes):
-        c, n = class_masks(t, kx).flat, necklace_masks(t, ky)
-        x = np.repeat(c, len(n.flat))
-        y = np.tile(n.flat, len(c))
+        c = cochad.search._lower_half(t, class_masks(t, kx)).flat
+        n = cochad.search._lower_half(t, necklace_masks(t, ky))
+        c, ny, periods = np.append(c, c ^ full), np.append(n.flat, n.flat ^ full), np.tile(n.periods, 2)
+        x = np.repeat(c, len(ny))
+        y = np.tile(ny, len(c))
         # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
         guarded = x if ycls == 2 else x | y
         forb = forbidden_position(xcls, t)
-        valid = cochad.search._valid_shifts(t, forb, guarded, np.tile(n.periods, len(c)))
+        valid = cochad.search._valid_shifts(t, forb, guarded, np.tile(periods, len(c)))
         assert (valid >> t == 0).all()
         i, r = np.nonzero((valid[:, None] >> np.arange(t)) & 1)
         u, v = rotate(t, x[i], (t - r) % t), rotate(t, y[i], (t - r) % t)
@@ -204,18 +209,19 @@ def test_rotations_of_representatives_are_the_class_domains(t):
         want = ((dx[:, None] << t) | dy[None, :]).ravel()
         assert np.array_equal(np.sort((u << t) | v), want)
     if t == 9:
-        assert any(((p > 1) & (p < t)).any() for p in (necklace_masks(t, k).periods for k in sizes))
+        halves = (cochad.search._lower_half(t, necklace_masks(t, k)) for k in sizes)
+        assert any(((half.periods > 1) & (half.periods < t)).any() for half in halves)
 
 
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
-    # or one larger group; at 48 most t = 9 groups are batches of their
-    # own.  Every batch keys only the lower half of each class-1 and
-    # class-3 catalog, counts the candidates of all its key matches and
-    # of their complement images, and keeps those whose coupling key is
-    # zero; each joined assignment then makes one row test of its kept
-    # matches, once per relative shift that stands for a candidate,
-    # whatever the batches.  Its mirror is never keyed or row-tested.
+    # or one larger group; at 24 most t = 9 groups are batches of their
+    # own.  Every batch keys only the lower half of each of the four
+    # catalogs, counts the candidates of all its key matches' even
+    # complement images, and keeps those whose coupling key is zero; each
+    # joined assignment then makes one row test of its kept images, once
+    # per relative shift that stands for a candidate, whatever the
+    # batches.  Its mirror is never keyed or row-tested.
     events = []
     batches = []  # (groups, keyed rows) of each side of each batch
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
@@ -226,8 +232,9 @@ def test_join_batches_do_not_change_results(monkeypatch):
         return int(np.bitwise_count(catalog.flat).min())
 
     def side_keys(t, side, g, h):
-        # The keyed catalog side holds one popcount, below t / 2.
-        assert len(set(np.bitwise_count(side.x.flat).tolist())) == 1
+        # Each keyed catalog holds one popcount, below t / 2.
+        for catalog in side.x, side.y:
+            assert len(set(np.bitwise_count(catalog.flat).tolist())) == 1
         events.append((size_of(side.x), size_of(side.y)))
         keys, order, rows_at = real_keys(t, side, g, h)
         batches.append((h - g, len(keys)))
@@ -258,14 +265,14 @@ def test_join_batches_do_not_change_results(monkeypatch):
     monkeypatch.setattr(cochad.search, "row_test_batch", row_test_batch)
     default = run_search(9)
     default_joins = joins()
-    # Half of the 37008 rows that keying both masks of every complement
-    # pair would take.
-    assert sum(rows for _, rows in batches) == 18504
-    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 48)
+    # A quarter of the 37008 rows that keying both masks of every
+    # complement pair of each side would take.
+    assert sum(rows for _, rows in batches) == 9252
+    monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 24)
     batches.clear()
     tiny = run_search(9)
     tiny_joins = joins()
-    assert sum(rows for _, rows in batches) == 18504
+    assert sum(rows for _, rows in batches) == 9252
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
     # Only the assignments with k3 >= k0 are keyed; the rest are their
@@ -283,8 +290,8 @@ def test_join_batches_do_not_change_results(monkeypatch):
         assert sum(rows for _, _, rows in runs) == 15278
     assert sum(n for _, n, _ in tiny_joins) > sum(n for _, n, _ in default_joins)
     abatches = batches[1::2]
-    assert all(groups == 1 or rows <= 48 for groups, rows in abatches)
-    assert sum(groups == 1 and rows > 48 for groups, rows in abatches) > len(abatches) // 2
+    assert all(groups == 1 or rows <= 24 for groups, rows in abatches)
+    assert sum(groups == 1 and rows > 24 for groups, rows in abatches) > len(abatches) // 2
 
 
 def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
@@ -327,14 +334,14 @@ def test_side_keys_match_digit_keys(t):
         side = cochad.search._JoinSide(x, y, xw, yb, px, py, heads, edges)
         keys, order, rows_at = cochad.search._side_keys(t, side, g, h)
         assert (np.diff(keys) >= 0).all()
-        u, v, per, pair = rows_at(order)
-        assert np.array_equal(keys, coupling_key(tables, group[pair] - g, u, v, sign))
-        assert np.array_equal(per, 3 * v + 1)
         # Pair p's keys sit at edges[p] - edges[first] onward.
-        assert np.array_equal(np.sort(order), np.arange(len(keys)))
-        u, v, _, pair = rows_at(np.arange(len(keys)))
         spans = np.diff(edges[first : stop + 1])
-        assert np.array_equal(pair, np.repeat(np.arange(first, stop), spans))
+        pair = np.repeat(np.arange(first, stop), spans)
+        u, v, per = rows_at(order)
+        assert np.array_equal(keys, coupling_key(tables, group[pair[order]] - g, u, v, sign))
+        assert np.array_equal(per, 3 * v + 1)
+        assert np.array_equal(np.sort(order), np.arange(len(keys)))
+        u, v, _ = rows_at(np.arange(len(keys)))
         # Every row of every pair, each once.
         want = sorted(
             (p, xm, ym)
@@ -347,30 +354,54 @@ def test_side_keys_match_digit_keys(t):
 
 @pytest.mark.parametrize("t", range(3, 15, 2))
 def test_complement_negates_coupling_key(t):
-    # 1^T S_m = 1^T, so 1^T W = 0 and pair_ci(~c, n, m) = -pair_ci(c, n, m):
-    # the join keys (~c, n) at 2 (j base + base // 2) minus the key of
-    # (c, n), in the same group j, and keys only the lower half of each
-    # class-1 and class-3 catalog.  Every profile group must then be
-    # closed under complement, so that the half holds half of each.
+    # 1^T S_m = S_m 1 = 1, so the rows and the columns of W sum to 0, and
+    # complementing one mask of a row negates pair_ci while complementing
+    # both keeps it: the join keys (~c, n) and (c, ~n) at
+    # 2 (j base + base // 2) minus the key of (c, n), in the same group j,
+    # and (~c, ~n) at the key of (c, n).  So an even number of complements
+    # among a match's four masks keeps the match, and the join keys only
+    # the lower half of all four catalogs.  Every profile group must then
+    # be closed under complement, so that the half holds half of each,
+    # and the complement of a kept necklace representative must have its
+    # period, so that it stands for its necklace.
     tables = mask_tables(t)
     assert not tables.coupling.sum(axis=0).any()
+    assert not tables.coupling.sum(axis=1).any()
     base, full = (2 * t + 1) ** tables.half, (1 << t) - 1
     rng = np.random.default_rng(t)
     c, n = rng.integers(0, 1 << t, size=(2, 500))
     j = rng.integers(0, 1000, size=500)
     for sign in (1, -1):
         key = coupling_key(tables, j, c, n, sign)
-        negated = coupling_key(tables, j, c ^ full, n, sign)
-        assert np.array_equal(negated, 2 * (j * base + base // 2) - key)
+        negated = 2 * (j * base + base // 2) - key
+        assert np.array_equal(coupling_key(tables, j, c ^ full, n, sign), negated)
+        assert np.array_equal(coupling_key(tables, j, c, n ^ full, sign), negated)
+        assert np.array_equal(coupling_key(tables, j, c ^ full, n ^ full, sign), key)
+    # Each of the eight patterns of _EVEN turns the A and the B coupling
+    # score of a seeded (A row, B row) pair alike: both kept or both
+    # negated.
+    even = cochad.search._EVEN
+    assert len({tuple(p) for p in even.tolist()}) == 8 and not (even.sum(axis=1) % 2).any()
+    rows = rng.integers(0, 1 << t, size=(500, 1, 4))
+    images = rows ^ even * full
+    za, za_image = (coupling_key(tables, 0, u[..., 0], u[..., 1], 1) - base // 2 for u in (rows, images))
+    zb, zb_image = (coupling_key(tables, 0, u[..., 2], u[..., 3], -1) - base // 2 for u in (rows, images))
+    assert np.array_equal(za_image * zb, za * zb_image)
+    shifts = np.arange(1, t + 1)
     for k in range(t // 2 + 1):
         catalog = class_masks(t, k)
         for lo, size in zip(catalog.starts.tolist(), catalog.sizes.tolist()):
             group = set(catalog.flat[lo : lo + size].tolist())
             assert {full ^ mask for mask in group} == group
-        half = cochad.search._lower_half(t, catalog)
-        assert np.array_equal(half.codes, catalog.codes)
-        assert np.array_equal(half.sizes, catalog.sizes // 2)
-        assert (np.bitwise_count(half.flat) == k).all()
+        for side in catalog, necklace_masks(t, k):
+            half = cochad.search._lower_half(t, side)
+            assert np.array_equal(half.codes, side.codes)
+            assert np.array_equal(half.sizes, side.sizes // 2)
+            assert (np.bitwise_count(half.flat) == k).all()
+        # The least s >= 1 with rot_s(~x) == ~x.
+        complements = half.flat[:, None] ^ full
+        periods = np.argmax(rotate(t, complements, shifts) == complements, axis=1) + 1
+        assert np.array_equal(periods, half.periods)
 
 
 def test_search_leaves_numpy_ma_unimported():
@@ -408,10 +439,11 @@ def test_mirror_assignments_agree(t, mirrors, hit_rows):
                 continue
             found += 1
             own, partner = join(t, k1, k2, k3, k0), join(t, k1, k2, k0, k3)
-            # Recipe, solution recipe and candidate counts.
+            # Recipe and candidate counts, and the solution recipes.
             assert own[1:] == partner[1:]
-            for hits in own[0], partner[0]:
-                assert len({recipe_of(s) for s in _subsets_of_rows(t, hits)[0]}) == own[2]
+            assert len({recipe_of(s) for s in _subsets_of_rows(t, own[0])[0]}) == len(
+                {recipe_of(s) for s in _subsets_of_rows(t, partner[0])[0]}
+            )
             mirrored = cochad.search._mirror(t, own[0])
             assert sorted(map(tuple, mirrored.tolist())) == sorted(map(tuple, partner[0].tolist()))
             rows += len(own[0])
