@@ -96,12 +96,16 @@ So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
 4-tuples, over the even complement images of all matches, are exactly
 the pairs of domain rows with equal keys: each once.  All of them are
-counted as the candidates checked, but by the fifth fact only the
-images with a zero coupling key go on (7120 of 130384 at t = 13), and
-by the third each of those goes through bitmask.row_test_batch only
-once per relative shift d that stands for a candidate, that is when
-the A set meets the B set rotated by d: one call per assignment, after
-all its batches, on the tuples (A, rot_d B).  A passing tuple gives the
+counted as the candidates checked, per match: an image's valid A
+rotations depend on its class-1 complement flag alone and its valid B
+rotations on its class-3 and class-0 flags, so a match counts the
+popcounts of its two A sets, summed, times those of its four B sets.
+By the fifth fact only the images with a zero coupling key are built
+and go on (7120 of 130384 at t = 13), and by the third each of those
+goes through bitmask.row_test_batch only once per relative shift d
+that stands for a candidate, that is when the A set meets the B set
+rotated by d: one call per assignment, after all its batches, on the
+tuples (A, rot_d B).  A passing tuple gives the
 hits rot_-r (A, rot_d B) = (rot_-r A, rot_{d-r} B) over the set bits r
 of that intersection.  By the fourth fact, only the assignments whose
 class sizes have k3 >= k0 are joined, one at a time; the mirror of one
@@ -201,10 +205,13 @@ _BRUTE_LIMIT_BITS = 25
 
 # Each row_test_batch call of brute_force tests one class-1 mask against
 # a slab of class-2 masks and all of D3 x D0, about this many rows: 64
-# class-2 masks and 128 calls at t = 7.  Measured by one perfbench
-# brute_t7 run each, 2 cores: 2^16, 2^17, 2^18 and 2^19 rows take 0.50,
-# 0.29, 0.25 and 0.28 s at 38.2, 38.1, 37.6 and 38.1 MB peak RSS, where
-# one call per (class 1, class 2) pair took 2.07 s at 37.6 MB.
+# class-2 masks and 128 calls at t = 7.  Measured on 2 cores, numpy 2.4:
+# brute_force(7) in one process, medians of 8 rounds in each of three
+# passes, takes 152-209, 127-162, 114-133 and 113-162 ms at 2^17, 2^18,
+# 2^19 and 2^20 rows, at 36.6, 36.3-36.5, 36.9 and 36.9 MB max RSS.
+# Four perfbench brute_t7 runs each read 0.093-0.102 s at 37.8-38.0 MB
+# peak RSS for 2^18 and 0.120-0.130 s at 38.6-38.7 MB for 2^19, so no
+# larger slab is reliably faster, and each costs RSS.
 _BRUTE_SLAB_ROWS = 1 << 18
 
 # The even complement patterns of a mask row, one 0/1 flag per class in
@@ -407,9 +414,10 @@ def _valid_shifts(t: int, forb: int, masks, periods):
 
     Each row's necklace mask has period periods[i], so the r below it
     give distinct rows; masks[i] is the union of the row's masks that
-    must avoid position forb.  Bit r of the t-bit result is set when r is
-    below the period and rot_-r(masks[i]) avoids forb: rot_-r(x) covers
-    forb exactly when bit r of rot_-forb(x) is set.
+    must avoid position forb, and masks and periods broadcast.  Bit r
+    of the t-bit result is set when r is below the period and
+    rot_-r(masks[i]) avoids forb: rot_-r(x) covers forb exactly when
+    bit r of rot_-forb(x) is set.
     """
     return ((1 << periods) - 1) & ~rotate(t, masks, (t - forb) % t)
 
@@ -434,9 +442,10 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     the A complements' keys are probed into the B keys, and each match
     stands for its eight even complement images (the module docstring's
     Even complements fact).  Each image (A row, B row) stands for its
-    valid rotations on either side, the candidates it counts.  Only the
-    images whose coupling key is zero can pass (termwise balance), so
-    each batch keeps just those, and after the last batch one
+    valid rotations on either side, the candidates it counts, which are
+    summed per match without building its images.  Only the images
+    whose coupling key is zero can pass (termwise balance), so each
+    batch builds and keeps just those, and after the last batch one
     row_test_batch call tests every kept image (A, B) as (A, rot_d B),
     for each d that stands for a candidate.  A passing tuple gives its
     rotations by -r as hits, over the r valid on both sides.
@@ -459,6 +468,8 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
     full = (1 << t) - 1
+    flip = np.array([0, full])
+    e1, _, e3, e0 = _EVEN.T
     shifts = np.arange(t)
     # (rows, va, vb) of each batch's zero-coupling images.
     kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 2)]
@@ -478,21 +489,26 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         # A solution has every pair term zero (termwise balance, see
         # bitmask), so only a match whose coupling digits are all t can
         # pass the row test.
-        zero = np.repeat(akey[i] % base == base // 2, len(_EVEN))
+        zero = akey[i] % base == base // 2
         # Freeing the batch's keys before its matched rows are built holds
         # run_search(13)'s peak RSS ~0.5 MB lower.
         del akey, bkey, aorder, border, i, j, i2, j2
         u1, u2, p2 = arows(ia)
         u3, u0, p0 = brows(ib)
         u1[plain:] ^= full
-        # Each match stands for its eight even complement images.
-        rows = (np.stack([u1, u2, u3, u0], axis=1)[:, None] ^ _EVEN * full).reshape(-1, 4)
-        p2, p0 = np.repeat(p2, len(_EVEN)), np.repeat(p0, len(_EVEN))
-        # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
-        va = _valid_shifts(t, forbidden_position(1, t), rows[:, 0], p2)
-        vb = _valid_shifts(t, forbidden_position(3, t), rows[:, 2] | rows[:, 3], p0)
-        checked += int(np.bitwise_count(va).astype(np.int64) @ np.bitwise_count(vb))
-        kept.append((rows[zero], va[zero], vb[zero]))
+        # Each match stands for its eight even complement images.  An
+        # image's va is va[:, e1] and its vb is vb[:, e3, e0]: class 2 has
+        # no forbidden position, a complement keeps the period, and in
+        # _EVEN each (e1, e3, e0) occurs once.
+        va = _valid_shifts(t, forbidden_position(1, t), u1[:, None] ^ flip, p2[:, None])
+        b30 = (u3[:, None] ^ flip)[:, :, None] | (u0[:, None] ^ flip)[:, None]
+        vb = _valid_shifts(t, forbidden_position(3, t), b30, p0[:, None, None])
+        checked += int(
+            np.bitwise_count(va).sum(axis=1, dtype=np.int64)
+            @ np.bitwise_count(vb).sum(axis=(1, 2), dtype=np.int64)
+        )
+        rows = np.stack([u1, u2, u3, u0], axis=1)[zero, None] ^ _EVEN * full
+        kept.append((rows.reshape(-1, 4), va[zero][:, e1].ravel(), vb[zero][:, e3, e0].ravel()))
         g = h
     rows, va, vb = (np.concatenate(part) for part in zip(*kept))
     # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
@@ -501,12 +517,12 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     # candidate.  Residues 1 and 2 hold by the join; the kernel re-checks
     # them on its survivors.
     live = va[:, None] & rotate(t, vb[:, None], shifts)
-    i, d = np.nonzero(live)
+    i, d = np.divmod(np.flatnonzero(live), t)
     tested = rotate(t, rows[i], d[:, None] * np.array([0, 0, 1, 1]))
     ok = row_test_batch(tables, *tested.T)
     # A passing (i, d) gives one hit per set bit r of live[i, d].
     i, d, tested = i[ok], d[ok], tested[ok]
-    k, r = np.nonzero((live[i, d, None] >> shifts) & 1)
+    k, r = np.divmod(np.flatnonzero((live[i, d, None] >> shifts) & 1), t)
     return rotate(t, tested[k], (t - r[:, None]) % t), recipe_count, checked
 
 
@@ -526,7 +542,7 @@ def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     member = join_classes(t, rows)
-    row, col = np.nonzero(member)
+    row, col = np.divmod(np.flatnonzero(member), 4 * t)
     cols = (col + 1).tolist()
     ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
     indices = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
@@ -637,7 +653,10 @@ def brute_force(t: int) -> BruteForceReport:
     scan is capped at 2^25, i.e. t = 7.  Each row_test_batch call gets
     one class-1 mask, a slab of class-2 masks and the class-3 and
     class-0 domains as operands that broadcast to their outer product
-    (see _BRUTE_SLAB_ROWS), which the row test never builds.
+    (see _BRUTE_SLAB_ROWS), which the row test never builds.  The
+    survivors of each call are read off its verdict grid as flat
+    indices (np.flatnonzero, then np.unravel_index), and the grid is
+    dropped before the next call.
     """
     validate_t(t)
     bits = 4 * t - 3
@@ -656,7 +675,8 @@ def brute_force(t: int) -> BruteForceReport:
     for m1 in d1.tolist():
         for lo in range(0, len(d2), run):
             slab2 = d2[lo : lo + run]
-            i2, i3, i0 = np.nonzero(row_test_batch(tables, m1, slab2[:, None, None], d3[:, None], d0))
+            hits = np.flatnonzero(row_test_batch(tables, m1, slab2[:, None, None], d3[:, None], d0))
+            i2, i3, i0 = np.unravel_index(hits, (len(slab2), len(d3), len(d0)))
             found.append(np.stack([np.full_like(i2, m1), slab2[i2], d3[i3], d0[i0]], axis=1))
     return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, np.concatenate(found))[0]))
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cochad.bitmask import (
+    _TABLE_LIMIT_T,
     CLASS_ORDER,
     _row_check,
     forbidden_position,
@@ -148,6 +149,29 @@ def test_pair_ci_vectorized_matches_scalar():
         vec = pair_ci(tables, a, b, m)
         for i in range(64):
             assert int(vec[i]) == int(pair_ci(tables, int(a[i]), int(b[i]), m))
+
+
+def test_row_table_dtypes_hold_the_row_sums():
+    # pc, runs and pair_ci are int8.  Each entry is at most t in size and
+    # the row test and the join keys add two of them, so the dtypes must
+    # hold 2t at the table cap: raising the cap past them fails here.
+    tables = mask_tables(5)
+    terms = pair_ci(tables, np.arange(8), np.arange(8)[::-1], 1)
+    for dtype in (tables.pc.dtype, tables.runs.dtype, terms.dtype):
+        assert np.iinfo(dtype).max >= 2 * _TABLE_LIMIT_T
+    assert np.iinfo(terms.dtype).min <= -2 * _TABLE_LIMIT_T
+
+
+@pytest.mark.parametrize("t", [13, 15])
+def test_pair_ci_equals_an_int64_recomputation(t):
+    # numpy wraps integer overflow silently, so no warning would show a
+    # pair term that outgrew its dtype.
+    tables = mask_tables(t)
+    a, b = np.random.default_rng(t).integers(0, 1 << t, size=(2, 4096))
+    for m in range(1, tables.half + 1):
+        wide = np.bitwise_count(a & rotate(t, b, m)).astype(np.int64)
+        wide -= np.bitwise_count(b & rotate(t, a, m))
+        assert np.array_equal(pair_ci(tables, a, b, m), wide)
 
 
 # Class masks (1, 2, 3, 0) of t = 7 near misses.  Each balances every

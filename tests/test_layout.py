@@ -4,7 +4,8 @@ code.
 A public one must be used by another statement of the package,
 exported by cochad.__all__, or imported by the acceptance gate; a
 private one must be read by another statement of the package.  A
-helper only the tests read belongs in tests/oracles.py.
+helper only the tests read belongs in tests/oracles.py.  No statement
+of the package reads survivors as per-axis index arrays.
 """
 
 import ast
@@ -79,3 +80,36 @@ def test_private_names_are_read_by_the_package():
     private = {name for _, _, name in statements if name and name.startswith("_")}
     stray = _unread(statements, uses, private)
     assert stray == [], f"private names the package never reads: {stray}"
+
+
+# Calls that return one index array per axis.  On a (64, 64, 64) verdict
+# grid with ~30 true entries, np.nonzero takes ~0.7 ms and np.flatnonzero
+# with np.unravel_index ~0.04 ms (numpy 2.4, 2 cores), and brute_force(7)
+# reads 128 such grids.  np.where with one argument is np.nonzero.
+_PER_AXIS = {"nonzero", "argwhere"}
+
+
+def _per_axis_calls(source):
+    """Line numbers of the per-axis index calls in source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (node.func.attr in _PER_AXIS or node.func.attr == "where" and len(node.args) == 1)
+    ]
+
+
+def test_no_per_axis_index_calls():
+    sample = ["np.nonzero(a)", "a.nonzero()", "np.argwhere(a)", "np.where(a)"]
+    sample += ["np.flatnonzero(a)", "np.count_nonzero(a)", "np.where(a, 1, 0)"]
+    assert _per_axis_calls("\n".join(sample)) == [1, 2, 3, 4]
+    calls = [
+        f"{path.stem}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _per_axis_calls(path.read_text())
+    ]
+    assert calls == [], (
+        f"per-axis index calls at {calls}: use np.flatnonzero, then np.unravel_index or "
+        "np.divmod (np.nonzero on a 2^18-entry grid takes ~0.7 ms, flatnonzero ~0.04 ms)"
+    )
