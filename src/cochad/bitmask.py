@@ -230,9 +230,10 @@ def _row_check(tables: MaskTables, m: int, residue: int, u) -> np.ndarray:
 def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
     """Vectorized zero-row-sum test over rows 5..2t+2 for class masks.
 
-    Accepts scalars or broadcastable arrays and returns a boolean scalar
-    or array of their broadcast shape.  True means every tested row of
-    the assembled matrix sums to zero, i.e. the subset is a Hadamard
+    Accepts scalars or broadcastable arrays and returns the ascending
+    flat indices, into their broadcast shape (one entry for scalars), of
+    the rows that pass.  A row passes when every tested row of the
+    assembled matrix sums to zero, i.e. the subset is a Hadamard
     solution: at every shift m the coupled pairs of PAIR_ORDER balance
     and the four head counts total t.
 
@@ -248,12 +249,11 @@ def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
     survive.  Operands with one entry per row, as the search passes,
     are gathered after the first check.  Survivors travel as flat
     indices into the broadcast shape, never as per-axis index arrays,
-    and callers read the verdict grid the same way: an N-D np.nonzero
-    takes ~0.7 ms on a 2^18-entry grid, flatnonzero ~0.04 ms.
+    and are returned as they are, so no verdict grid is built: an N-D
+    np.nonzero takes ~0.7 ms on a 2^18-entry grid, flatnonzero ~0.04 ms.
     """
     ops = dict(zip(CLASS_ORDER, (np.asarray(s, dtype=np.int64) for s in (s1, s2, s3, s0))))
-    shape = np.broadcast_shapes(*(u.shape for u in ops.values()))
-    rows = shape or (1,)
+    rows = np.broadcast_shapes(*(u.shape for u in ops.values())) or (1,)
     # A check on the operands as given costs at least its largest pair
     # term, one on gathered survivors about as much as the survivors.
     term = max(
@@ -277,6 +277,4 @@ def row_test_batch(tables: MaskTables, s1, s2, s3, s0):
         keep = np.flatnonzero(_row_check(tables, m, residue, dict(zip(CLASS_ORDER, masks))))
         alive = alive[keep]
         masks = masks[:, keep]
-    ok = np.zeros(rows, dtype=bool)
-    ok.flat[alive] = True
-    return ok.reshape(shape) if shape else bool(ok[0])
+    return alive

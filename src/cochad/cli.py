@@ -61,11 +61,9 @@ def _cmd_ingredients(args: argparse.Namespace) -> int:
     side = class_masks(t, args.k)
     k = min(args.k, t - args.k)
     print(f"t={t} k={k} entry={class_budget(t, k)}")
-    # The catalog holds every mask of sizes k and t - k.  Complements pair them
-    # within a profile (t is odd, so the sizes differ): half are of size k.
     profiles = ingredient_counts(mask_tables(t), side.flat[side.starts]).T.tolist()
     for counts, size in zip(profiles, side.sizes.tolist()):
-        print(f"profile {tuple(counts)}: {size // 2} masks")
+        print(f"profile {tuple(counts)}: {size} masks")
     print(f"profiles: {len(profiles)}")
     return EXIT_OK
 

@@ -4,8 +4,10 @@ The rows congruent to 1 see a class mask only through its head counts:
 counts[m - 1] is the number of mask positions whose shift by m lands
 outside the mask, for m = 1 .. (t - 1) / 2.  Masks sharing this profile
 are interchangeable on those rows.  Rotation and complementation
-preserve profiles, so sizes k and t - k give the same groups, and every
-group is a union of necklaces (rotation orbits).
+preserve profiles, so sizes k and t - k give the same profiles, and a
+class size is recorded as the smaller of the two, min(k, t - k): the
+complements of a catalog's masks are the other size's masks, profile
+by profile.  Every group is a union of necklaces (rotation orbits).
 
 class_masks reads the profiles of all masks of one class size off the
 mask tables in a single array pass and lays them out as the flat arrays
@@ -67,18 +69,19 @@ class ClassMasks:
 
 @lru_cache(maxsize=None)
 def class_masks(t: int, k: int) -> ClassMasks:
-    """Every mask of k or t - k positions, grouped by profile.
+    """Every mask of min(k, t - k) positions, grouped by profile.
 
-    Both sizes give one budget, and complements share profiles.
-    Profiles ascend, and so do their codes, since every digit is below
-    t + 1; the masks of each profile ascend.
+    Sizes k and t - k give one budget and one catalog: a complement
+    shares its mask's profile and period.  Profiles ascend, and so do
+    their codes, since every digit is below t + 1; the masks of each
+    profile ascend.
     """
     # Both checks come before the tables, which are large at t >= 19.
     validate_t(t)
     if not 0 <= k <= t:
         raise ValueError(f"k must be in [0, {t}], got {k}")
     tables = mask_tables(t)
-    masks = np.flatnonzero((tables.pc == k) | (tables.pc == t - k))
+    masks = np.flatnonzero(tables.pc == min(k, t - k))
     digits = ingredient_counts(tables, masks).astype(np.int64)
     codes = (t + 1) ** np.arange(tables.half - 1, -1, -1) @ digits
     order = np.lexsort((masks, codes))

@@ -26,14 +26,16 @@ t = 19 (at most 2.1e14), so the products are exact; the group part is
 added in int64.  A row stays implicit as a key position until its key
 matches, and only then is decoded to its masks.
 
-The mask rows are keyed on rotation-orbit representatives only.  An A
-row (u1, u2) of the class domains D1 x D2 is stood for by (c, n): n is
-one mask of u2's necklace, and c a mask of class 1's rotation-closed
-catalog; a B row (u3, u0) of D3 x D0 likewise by c from class 3's
-catalog and n from u0's necklace.  The join keys only masks of fewer
-than t/2 positions, so n is the least rotation of its necklace
-(recipes.necklace_masks) or the complement of one.  Six facts make this
-exact:
+The mask rows are keyed on rotation-orbit representatives only.  A
+class of size k takes masks of k or t - k positions, and a catalog
+holds those of min(k, t - k) (recipes.class_masks): the others are
+their complements.  An A row (u1, u2) of the class domains D1 x D2 is
+stood for by (c, n): n is one mask of u2's necklace, the least rotation
+of a necklace of class 2's catalog (recipes.necklace_masks) or the
+complement of one, and c a mask of class 1's catalog or the complement
+of one, a set closed under rotation; a B row (u3, u0) of D3 x D0
+likewise by c from class 3's catalog and n from u0's necklace.  Six
+facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
     every term of pair_ci(u, v, m), a popcount of an intersection of
@@ -44,12 +46,12 @@ exact:
   * Bijection.  Each (u1, u2) is rot_-r(c, n) for exactly one
     (c, n, r) with 0 <= r < period(n): n and r are fixed by u2, as
     its necklace has one representative and the rotations of n below
-    its period are distinct, and then c = rot_r(u1) is in the catalog,
-    which is closed under rotation.  The row is in D1 x D2 exactly when
-    rot_-r(c) avoids class 1's forbidden position f (class 2 has none),
-    that is when bit r of rot_-f(c) is clear; a B row is in D3 x D0 when
-    rot_-r(c | n) avoids t - 1.  So the valid r of each side form one
-    t-bit set.
+    its period are distinct, and then c = rot_r(u1) is in class 1's
+    masks, which are closed under rotation.  The row is in D1 x D2
+    exactly when rot_-r(c) avoids class 1's forbidden position f (class
+    2 has none), that is when bit r of rot_-f(c) is clear; a B row is in
+    D3 x D0 when rot_-r(c | n) avoids t - 1.  So the valid r of each
+    side form one t-bit set.
   * Relative shift.  The row test sees the four masks only through
     such popcounts and the head profiles, so rotating all four together
     keeps its verdict: (rot_-r A, rot_-r' B) passes exactly when
@@ -80,17 +82,16 @@ exact:
     both groups and multiplies each side's coupling score by -1 to the
     number of its two masks complemented: an even number in all (the
     eight patterns of _EVEN) keeps every key match, and an odd number
-    turns the pairs with scores z = z' into those with z = -z'.  Every
-    group of all four catalogs is closed under complement, as sizes k
-    and t - k share a catalog, so the join keys only masks of fewer
-    than t/2 positions and probes the A keys into the B keys twice: as
-    they are (z = z'), and negated (z = -z'), where a key j base + c of
-    group j becomes (2j + 1) base - 1 - (j base + c), base =
-    (2t+1)^((t-1)/2).  A match of the first probe stands for its eight
-    even images, and one of the second, a match of (~c, n), for its own
-    eight, the odd images of (c, n).  These cover every pair of rows
-    with equal keys once, and all go through the same decoding, count
-    and test.
+    turns the pairs with scores z = z' into those with z = -z'.  The
+    complements of a catalog's group are the other class size's masks
+    of that profile, so the join keys the four catalogs alone and
+    probes the A keys into the B keys twice: as they are (z = z'), and
+    negated (z = -z'), where a key j base + c of group j becomes
+    (2j + 1) base - 1 - (j base + c), base = (2t+1)^((t-1)/2).  A match
+    of the first probe stands for its eight even images, and one of the
+    second, a match of (~c, n), for its own eight, the odd images of
+    (c, n).  These cover every pair of rows with equal keys once, and
+    all go through the same decoding, count and test.
 
 So a key match of an A representative and a B representative stands
 for every (valid r) x (valid r') pair of rotated rows, and these
@@ -179,9 +180,9 @@ from .recipes import ClassMasks, class_masks, necklace_masks
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
-# many keyed A rows, the lower halves of the class-1 catalog and class-2
-# necklaces; a group larger than that is a batch of its own (none is at
-# t <= 15, where the largest holds 2580).  A batch keys, sorts and
+# many keyed A rows, of the class-1 catalog and the class-2 necklace
+# representatives; a group larger than that is a batch of its own (none
+# is at t <= 15, where the largest holds 2580).  A batch keys, sorts and
 # probes its rows and keeps its zero-coupling images; it makes no row
 # test of its own.  Measured on 2 cores, 2^12 to 2^15 in turn, medians
 # (ranges): run_search(13), eight runs each, takes 0.31 (0.31-0.37),
@@ -383,16 +384,6 @@ def _distinct(values) -> np.ndarray:
     return values[keep]
 
 
-def _lower_half(t: int, catalog: ClassMasks) -> ClassMasks:
-    """The masks of a catalog with fewer than t / 2 positions.
-
-    Complements share profiles, so a class_masks group is closed under
-    complement and a necklace_masks group under complementing necklaces:
-    either keeps exactly half of its masks.
-    """
-    return catalog.select(np.bitwise_count(catalog.flat) < t / 2)
-
-
 def _matches(akey, bkey):
     """Every pair (i, j) with akey[i] == bkey[j], of two sorted key arrays.
 
@@ -437,8 +428,8 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     most _CHUNK_ROWS A rows (a larger group is a batch of its own), and
     joined on (group, coupling scores); the keys come from one float64
     product per matched profile pair (see _side_keys), and a row is
-    built from its key position only when its key matches.  Only the
-    lower half of each of the four catalogs is keyed; the A keys and
+    built from its key position only when its key matches.  Each
+    catalog holds the smaller of a class's two sizes; the A keys and
     the A complements' keys are probed into the B keys, and each match
     stands for its eight even complement images (the module docstring's
     Even complements fact).  Each image (A row, B row) stands for its
@@ -461,9 +452,8 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     bcodes = (top - c3.codes[:, None] - n0.codes[None, :]).ravel()
     both = np.sort(np.concatenate([_distinct(acodes), _distinct(bcodes)]))
     sums = both[1:][both[1:] == both[:-1]]
-    # Only the masks of fewer than t/2 positions are keyed (even complements).
-    a = _join_side(t, _lower_half(t, c1), _lower_half(t, n2), acodes, sums, tables.coupling)
-    b = _join_side(t, _lower_half(t, c3), _lower_half(t, n0), bcodes, sums, -tables.coupling)
+    a = _join_side(t, c1, n2, acodes, sums, tables.coupling)
+    b = _join_side(t, c3, n0, bcodes, sums, -tables.coupling)
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
@@ -519,9 +509,9 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     live = va[:, None] & rotate(t, vb[:, None], shifts)
     i, d = np.divmod(np.flatnonzero(live), t)
     tested = rotate(t, rows[i], d[:, None] * np.array([0, 0, 1, 1]))
-    ok = row_test_batch(tables, *tested.T)
+    passed = row_test_batch(tables, *tested.T)
     # A passing (i, d) gives one hit per set bit r of live[i, d].
-    i, d, tested = i[ok], d[ok], tested[ok]
+    i, d, tested = i[passed], d[passed], tested[passed]
     k, r = np.divmod(np.flatnonzero((live[i, d, None] >> shifts) & 1), t)
     return rotate(t, tested[k], (t - r[:, None]) % t), recipe_count, checked
 
@@ -653,10 +643,9 @@ def brute_force(t: int) -> BruteForceReport:
     scan is capped at 2^25, i.e. t = 7.  Each row_test_batch call gets
     one class-1 mask, a slab of class-2 masks and the class-3 and
     class-0 domains as operands that broadcast to their outer product
-    (see _BRUTE_SLAB_ROWS), which the row test never builds.  The
-    survivors of each call are read off its verdict grid as flat
-    indices (np.flatnonzero, then np.unravel_index), and the grid is
-    dropped before the next call.
+    (see _BRUTE_SLAB_ROWS), which the row test never builds.  Each call
+    returns its survivors as flat indices into that product, and
+    np.unravel_index reads off their masks.
     """
     validate_t(t)
     bits = 4 * t - 3
@@ -675,7 +664,7 @@ def brute_force(t: int) -> BruteForceReport:
     for m1 in d1.tolist():
         for lo in range(0, len(d2), run):
             slab2 = d2[lo : lo + run]
-            hits = np.flatnonzero(row_test_batch(tables, m1, slab2[:, None, None], d3[:, None], d0))
+            hits = row_test_batch(tables, m1, slab2[:, None, None], d3[:, None], d0)
             i2, i3, i0 = np.unravel_index(hits, (len(slab2), len(d3), len(d0)))
             found.append(np.stack([np.full_like(i2, m1), slab2[i2], d3[i3], d0[i0]], axis=1))
     return BruteForceReport(t, 1 << bits, tuple(_subsets_of_rows(t, np.concatenate(found))[0]))

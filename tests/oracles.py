@@ -10,8 +10,8 @@ the row 4m + 1.  A recipe picks one ingredient per class such that
 every row congruent to 1 collects exactly t heads.  Rotation and
 complementation preserve profiles, so sizes k and t - k realize the
 same ingredients.  The module also keeps the class domains, which the
-search never builds: the masks a canonical subset may use in each
-class (class_domain), the termwise form of the coupled-pair
+search never builds: the masks of both sizes a canonical subset may
+use in each class (class_domain), the termwise form of the coupled-pair
 conditions (pair_terms_vanish), and the join key digit by digit
 (coupling_key).  parse_matrix_lines reads matrix text one line at a
 time, the reference for cocyclic.parse_matrix, and coboundary_blocks
@@ -22,6 +22,7 @@ cocyclic.build_coboundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -34,20 +35,48 @@ from cochad.bitmask import (
     ingredient_counts,
     mask_tables,
     pair_ci,
+    rotate,
 )
 from cochad.cocyclic import CoboundarySubset, MatrixFormatError, SignMatrix
 from cochad.distributions import Distribution, entry_class_size
 from cochad.group import GroupContext
-from cochad.recipes import ClassMasks, class_masks
+from cochad.recipes import ClassMasks
+
+
+@lru_cache(maxsize=None)
+def _both_sizes(t: int, k: int) -> ClassMasks:
+    """Every mask of k or t - k positions, grouped by profile.
+
+    Laid out as recipes.class_masks lays out one size, but read off the
+    mask tables on its own: profiles ascend, so do their codes, and the
+    masks of each profile ascend.
+    """
+    tables = mask_tables(t)
+    masks = [x for x in range(1 << t) if bin(x).count("1") in (k, t - k)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for mask, counts in zip(masks, ingredient_counts(tables, masks).T.tolist()):
+        groups.setdefault(tuple(counts), []).append(mask)
+    profiles = sorted(groups)
+    sizes = np.array([len(groups[p]) for p in profiles])
+    flat = [mask for p in profiles for mask in groups[p]]
+    return ClassMasks(
+        codes=np.array([sum(c * (t + 1) ** e for e, c in enumerate(reversed(p))) for p in profiles]),
+        sizes=sizes,
+        starts=np.cumsum(sizes) - sizes,
+        flat=np.array(flat, dtype=np.int64),
+        periods=np.array([len({rotate(t, x, s) for s in range(t)}) for x in flat]),
+    )
 
 
 def class_domain(t: int, k: int, cls: int) -> ClassMasks:
     """Masks of k or t - k positions a canonical subset may use in a class.
 
-    class_masks(t, k) minus the masks that cover the class's forbidden
-    position, grouped as there; every profile keeps some rotation.
+    Every mask of both sizes minus those that cover the class's
+    forbidden position, grouped by profile; every profile keeps some
+    rotation.  recipes.class_masks keeps the size min(k, t - k) alone,
+    whose complements are the other size.
     """
-    side = class_masks(t, k)
+    side = _both_sizes(t, k)
     forb = forbidden_position(cls, t)
     if forb is None:
         return side

@@ -8,8 +8,7 @@ import pytest
 
 import cochad.search
 from cochad.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_OK, EXIT_VERDICT_FALSE, main
-from cochad.recipes import class_masks
-from oracles import ingredient_of, positions_of
+from oracles import class_domain, ingredient_of, positions_of
 
 
 def test_search_output(capsys):
@@ -76,22 +75,29 @@ def test_ingredients_output(capsys):
     assert sorted(out[1:3]) == ["profile (1, 2): 5 masks", "profile (2, 1): 5 masks"]
     assert out[3] == "profiles: 2"
 
-    # Every profile line against the reference model, group by group.
+    # Every profile line against the reference model, group by group: the
+    # catalog holds the masks of size k, whose complements are those of
+    # size t - k, so --k 7 prints the same text.
     code = main(["ingredients", "--t", "13", "--k", "6"])
-    out = capsys.readouterr().out.splitlines()
+    text = capsys.readouterr().out
     assert code == EXIT_OK
+    assert main(["ingredients", "--t", "13", "--k", "7"]) == EXIT_OK
+    assert capsys.readouterr().out == text
+    out = text.splitlines()
     assert out[0] == "t=13 k=6 entry=21"
     assert out[-1] == "profiles: 74"
-    side = class_masks(13, 6)
-    groups = np.split(side.flat, side.starts[1:])
+    domain = class_domain(13, 6, 2)
+    groups = np.split(domain.flat, domain.starts[1:])
     assert len(out) == len(groups) + 2
     total = 0
     for line, masks in zip(out[1:-1], groups):
         profile, count = line.removeprefix("profile ").split(": ")
         ingredients = {ingredient_of(13, positions_of(13, m)) for m in masks.tolist()}
         assert [str(ing.counts) for ing in ingredients] == [profile]
-        assert count == f"{len(masks) // 2} masks"
-        total += len(masks) // 2
+        size6 = int((np.bitwise_count(masks) == 6).sum())
+        assert 2 * size6 == len(masks)
+        assert count == f"{size6} masks"
+        total += size6
     assert total == comb(13, 6) == 1716
 
 

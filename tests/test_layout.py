@@ -84,8 +84,9 @@ def test_private_names_are_read_by_the_package():
 
 # Calls that return one index array per axis.  On a (64, 64, 64) verdict
 # grid with ~30 true entries, np.nonzero takes ~0.7 ms and np.flatnonzero
-# with np.unravel_index ~0.04 ms (numpy 2.4, 2 cores), and brute_force(7)
-# reads 128 such grids.  np.where with one argument is np.nonzero.
+# with np.unravel_index ~0.04 ms (numpy 2.4, 2 cores); row_test_batch
+# returns such flat indices, and brute_force(7) unravels those of 128
+# calls.  np.where with one argument is np.nonzero.
 _PER_AXIS = {"nonzero", "argwhere"}
 
 

@@ -83,16 +83,24 @@ def test_enumerate_ingredients_small_catalog():
     side = class_masks(5, 2)
     ingredients = profile_ingredients(5, side)
     assert ingredients == [Ingredient((1, 2), 2), Ingredient((2, 1), 2)]
-    for ing, masks in zip(ingredients, _class_mask_groups(side)):
+    groups = zip(ingredients, _class_mask_groups(side), _class_mask_groups(class_domain(5, 2, 2)))
+    for ing, masks, domain in groups:
         assert ing.k == 2 and ing.total == 3
-        # five rotations of one size-2 mask and their complements
-        assert sorted(bin(m).count("1") for m in masks.tolist()) == [2] * 5 + [3] * 5
+        # five rotations of one size-2 mask; their complements are the
+        # domain's size-3 masks of the profile
+        assert [bin(m).count("1") for m in masks.tolist()] == [2] * 5
+        assert sorted(bin(m).count("1") for m in domain.tolist()) == [2] * 5 + [3] * 5
+        assert {31 ^ m for m in masks.tolist()} == set(domain.tolist()) - set(masks.tolist())
 
 
 def test_enumerate_ingredients_representative_size():
     # sizes k and t - k give one catalog, recorded at the smaller size;
-    # class 2 has no forbidden position, so its domain is the catalog
-    assert class_domain(5, 2, 2) is class_masks(5, 2)
+    # class 2 has no forbidden position, so its domain is the catalog's
+    # masks and their complements, in the same groups
+    side, domain = class_masks(5, 2), class_domain(5, 2, 2)
+    assert np.array_equal(domain.codes, side.codes)
+    assert np.array_equal(domain.sizes, 2 * side.sizes)
+    assert np.array_equal(domain.flat[np.bitwise_count(domain.flat) == 2], side.flat)
     for cls in CLASS_ORDER:
         low, high = class_domain(5, 2, cls), class_domain(5, 3, cls)
         assert profile_ingredients(5, high) == profile_ingredients(5, low)
@@ -105,12 +113,15 @@ def test_enumerate_ingredients_representative_size():
 
 
 def test_enumerate_ingredients_mask_conservation():
-    # the catalog knows no class, so it keeps every mask of both sizes
+    # the catalog knows no class, so it keeps every mask of its size,
+    # and the domain of class 2, which has no forbidden position, every
+    # mask of both sizes
     for t, k in ((5, 2), (7, 3), (9, 4), (11, 3)):
-        side = class_masks(t, k)
-        assert len(set(side.flat.tolist())) == len(side.flat) == 2 * comb(t, k)
-        assert side.sizes.sum() == len(side.flat)
-        assert side.starts.tolist() == (np.cumsum(side.sizes) - side.sizes).tolist()
+        sides = ((class_masks(t, k), comb(t, k)), (class_domain(t, k, 2), 2 * comb(t, k)))
+        for side, count in sides:
+            assert len(set(side.flat.tolist())) == len(side.flat) == count
+            assert side.sizes.sum() == len(side.flat)
+            assert side.starts.tolist() == (np.cumsum(side.sizes) - side.sizes).tolist()
 
 
 def test_enumerate_ingredients_frozen_counts():
@@ -131,9 +142,18 @@ def test_class_masks_sizes_and_avoidance():
 
 
 def _check_class_masks(t, k, cls):
-    side = class_domain(t, k, cls)
+    # The one-size catalog with the class's forbidden position applied,
+    # and the oracle's two-size domain, each against every admissible
+    # mask of its sizes.
     avoid = forbidden_position(cls, t)
-    sizes = {k, t - k}
+    catalog = class_masks(t, k)
+    if avoid is not None:
+        catalog = catalog.select((catalog.flat >> avoid) & 1 == 0)
+    _check_side(t, k, avoid, catalog, {min(k, t - k)})
+    _check_side(t, k, avoid, class_domain(t, k, cls), {k, t - k})
+
+
+def _check_side(t, k, avoid, side, sizes):
     # every admissible mask, grouped by its profile from ingredient_of
     expected: dict[Ingredient, set[int]] = {}
     for mask in range(1 << t):
@@ -149,6 +169,26 @@ def _check_class_masks(t, k, cls):
         assert code == sum(c * (t + 1) ** e for e, c in enumerate(reversed(ing.counts)))
         assert set(masks.tolist()) == expected[ing]
     assert len(side.flat) == sum(len(masks) for masks in expected.values())
+
+
+@pytest.mark.parametrize("t", range(3, 15, 2))
+def test_class_masks_hold_one_size(t):
+    # A catalog holds the masks of min(k, t - k) positions alone, the
+    # same for k and t - k, with the profiles of the oracle's two-size
+    # domain; complementing a group gives that domain's masks of the
+    # other size and the group's profile.
+    full = (1 << t) - 1
+    for k in range(t + 1):
+        side, other, domain = class_masks(t, k), class_masks(t, t - k), class_domain(t, k, 2)
+        small = min(k, t - k)
+        assert (np.bitwise_count(side.flat) == small).all()
+        for name in ("codes", "sizes", "starts", "flat", "periods"):
+            assert np.array_equal(getattr(side, name), getattr(other, name)), name
+        assert np.array_equal(side.codes, domain.codes)
+        for masks, both in zip(_class_mask_groups(side), _class_mask_groups(domain)):
+            sizes = np.bitwise_count(both)
+            assert set(masks.tolist()) == set(both[sizes == small].tolist())
+            assert {full ^ m for m in masks.tolist()} == set(both[sizes == t - small].tolist())
 
 
 def test_class_masks_sorted():

@@ -181,18 +181,17 @@ def test_candidates_checked_frozen():
 
 @pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
 def test_rotations_of_representatives_are_the_class_domains(t):
-    # The join keys (c, n) from the lower halves of a catalog and of its
-    # necklace representatives, and each match stands also for its
+    # The join keys (c, n) from a one-size catalog and the necklace
+    # representatives of one, and each match stands also for its
     # complement images: c or ~c, and n or ~n, which has n's period.  A
     # row stands for the rotations rot_-r whose bit r its side's valid
     # set holds.  Over every pair of class sizes (k and t - k share a
-    # catalog), those rotations must give each row of the two class
-    # domains exactly once.
+    # catalog), those rotations must give each row of the oracle's
+    # two-size class domains exactly once.
     full = (1 << t) - 1
     sizes = range(t // 2 + 1)
     for (xcls, ycls), kx, ky in product(((1, 2), (3, 0)), sizes, sizes):
-        c = cochad.search._lower_half(t, class_masks(t, kx)).flat
-        n = cochad.search._lower_half(t, necklace_masks(t, ky))
+        c, n = class_masks(t, kx).flat, necklace_masks(t, ky)
         c, ny, periods = np.append(c, c ^ full), np.append(n.flat, n.flat ^ full), np.tile(n.periods, 2)
         x = np.repeat(c, len(ny))
         y = np.tile(ny, len(c))
@@ -209,15 +208,15 @@ def test_rotations_of_representatives_are_the_class_domains(t):
         want = ((dx[:, None] << t) | dy[None, :]).ravel()
         assert np.array_equal(np.sort((u << t) | v), want)
     if t == 9:
-        halves = (cochad.search._lower_half(t, necklace_masks(t, k)) for k in sizes)
-        assert any(((half.periods > 1) & (half.periods < t)).any() for half in halves)
+        reps = (necklace_masks(t, k) for k in sizes)
+        assert any(((rep.periods > 1) & (rep.periods < t)).any() for rep in reps)
 
 
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
     # or one larger group; at 24 most t = 9 groups are batches of their
-    # own.  Every batch keys only the lower half of each of the four
-    # catalogs, counts the candidates of all its key matches' even
+    # own.  Every batch keys the four one-size catalogs, counts the
+    # candidates of all its key matches' even
     # complement images, and keeps those whose coupling key is zero; each
     # joined assignment then makes one row test of its kept images, once
     # per relative shift that stands for a candidate, whatever the
@@ -227,8 +226,7 @@ def test_join_batches_do_not_change_results(monkeypatch):
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
 
     def size_of(catalog):
-        """The class size of a catalog: its least popcount, as sizes k
-        and t - k share a catalog and k <= t / 2."""
+        """The class size of a catalog, min(k, t - k): its popcount."""
         return int(np.bitwise_count(catalog.flat).min())
 
     def side_keys(t, side, g, h):
@@ -360,10 +358,10 @@ def test_complement_negates_coupling_key(t):
     # 2 (j base + base // 2) minus the key of (c, n), in the same group j,
     # and (~c, ~n) at the key of (c, n).  So an even number of complements
     # among a match's four masks keeps the match, and the join keys only
-    # the lower half of all four catalogs.  Every profile group must then
-    # be closed under complement, so that the half holds half of each,
-    # and the complement of a kept necklace representative must have its
-    # period, so that it stands for its necklace.
+    # the four one-size catalogs.  Their complements must then be the
+    # other size in the same groups (test_class_masks_hold_one_size), and
+    # the complement of a catalog mask or necklace representative must
+    # have its period, so that it stands for its necklace.
     tables = mask_tables(t)
     assert not tables.coupling.sum(axis=0).any()
     assert not tables.coupling.sum(axis=1).any()
@@ -389,19 +387,12 @@ def test_complement_negates_coupling_key(t):
     assert np.array_equal(za_image * zb, za * zb_image)
     shifts = np.arange(1, t + 1)
     for k in range(t // 2 + 1):
-        catalog = class_masks(t, k)
-        for lo, size in zip(catalog.starts.tolist(), catalog.sizes.tolist()):
-            group = set(catalog.flat[lo : lo + size].tolist())
-            assert {full ^ mask for mask in group} == group
-        for side in catalog, necklace_masks(t, k):
-            half = cochad.search._lower_half(t, side)
-            assert np.array_equal(half.codes, side.codes)
-            assert np.array_equal(half.sizes, side.sizes // 2)
-            assert (np.bitwise_count(half.flat) == k).all()
-        # The least s >= 1 with rot_s(~x) == ~x.
-        complements = half.flat[:, None] ^ full
-        periods = np.argmax(rotate(t, complements, shifts) == complements, axis=1) + 1
-        assert np.array_equal(periods, half.periods)
+        for side in class_masks(t, k), necklace_masks(t, k):
+            assert (np.bitwise_count(side.flat) == k).all()
+            # The least s >= 1 with rot_s(~x) == ~x.
+            complements = side.flat[:, None] ^ full
+            periods = np.argmax(rotate(t, complements, shifts) == complements, axis=1) + 1
+            assert np.array_equal(periods, side.periods)
 
 
 def test_search_leaves_numpy_ma_unimported():
@@ -488,9 +479,9 @@ def test_mirror_map(t):
         assert np.array_equal(heads(mirror, m), heads(match, m))
         swap_breaks |= not np.array_equal(pair_sum(swapped, m, 2), -pair_sum(match, m, 2))
     assert swap_breaks
-    verdicts = row_test_batch(tables, *(match[cls] for cls in CLASS_ORDER))
-    assert np.array_equal(row_test_batch(tables, *(mirror[cls] for cls in CLASS_ORDER)), verdicts)
-    assert np.count_nonzero(verdicts) == len(solutions) > 0
+    passing = row_test_batch(tables, *(match[cls] for cls in CLASS_ORDER))
+    assert np.array_equal(row_test_batch(tables, *(mirror[cls] for cls in CLASS_ORDER)), passing)
+    assert len(passing) == len(solutions) > 0
 
 
 def test_subsets_of_rows():
