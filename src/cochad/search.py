@@ -34,7 +34,7 @@ stood for by (c, n): n is one mask of u2's necklace, the least rotation
 of a necklace of class 2's catalog (recipes.necklace_masks) or the
 complement of one, and c a mask of class 1's catalog or the complement
 of one, a set closed under rotation; a B row (u3, u0) of D3 x D0
-likewise by c from class 3's catalog and n from u0's necklace.  Six
+likewise by c from class 3's catalog and n from u0's necklace.  Eight
 facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
@@ -74,54 +74,57 @@ facts make this exact:
     rotation keeps that.  So only a key match whose coupling digits
     are all t can pass the row test: its key modulo (2t+1)^((t-1)/2)
     is ((2t+1)^((t-1)/2) - 1) / 2, the coupling key zero.
-  * Even complements.  1^T S_m = 1^T and S_m 1 = 1, so A = S_m - S_m^T
-    has 1^T A = A 1 = 0: complementing one argument of pair_ci negates
-    it (~x the complement in t bits), and complementing both keeps it.
-    A complement keeps the head profile and the period.  So
-    complementing some of the four masks of an (A row, B row) pair keeps
-    both groups and multiplies each side's coupling score by -1 to the
-    number of its two masks complemented: an even number in all (the
-    eight patterns of _EVEN) keeps every key match, and an odd number
-    turns the pairs with scores z = z' into those with z = -z'.  The
-    complements of a catalog's group are the other class size's masks
-    of that profile, so the join keys the four catalogs alone and
-    probes the A keys into the B keys twice: as they are (z = z'), and
-    negated (z = -z'), where a key j base + c of group j becomes
-    (2j + 1) base - 1 - (j base + c), base = (2t+1)^((t-1)/2).  A match
-    of the first probe stands for its eight even images, and one of the
-    second, a match of (~c, n), for its own eight, the odd images of
-    (c, n).  These cover every pair of rows with equal keys once, and
-    all go through the same decoding, count and test.
+  * Complements.  1^T S_m = 1^T and S_m 1 = 1, so 1^T W = W 1 = 0:
+    complementing one argument of pair_ci negates it (~x the complement
+    in t bits).  A complement keeps the head profile and the period, so
+    the complements of a catalog's group are the other class size's
+    masks of that profile, and a pair with a zero coupling key stays
+    zero under every complement pattern of its four masks.
+  * Periods.  For A, bit r < p(n2) is clear in exactly one of
+    rot_-f(c) and rot_-f(~c), f class 1's forbidden position, and class
+    2 has none.  For B, position t - 1 + r lies in neither mask for
+    exactly one of the four (u3, u0) flips.  So each rotation below a
+    period is valid for exactly one complement image of its side.
+  * Reflection.  mu_-1 keeps profiles and periods (bitmask's affine
+    maps) and negates every pair term; followed by the rotation that
+    takes its class-0 image back to the necklace's least rotation, it
+    permutes a B group's rows.  So each B group's (score, period)
+    multiset is symmetric.
 
-So a key match of an A representative and a B representative stands
-for every (valid r) x (valid r') pair of rotated rows, and these
-4-tuples, over the even complement images of all matches, are exactly
-the pairs of domain rows with equal keys: each once.  All of them are
-counted as the candidates checked, per match: an image's valid A
-rotations depend on its class-1 complement flag alone and its valid B
-rotations on its class-3 and class-0 flags, so a match counts the
-popcounts of its two A sets, summed, times those of its four B sets.
-By the fifth fact only the images with a zero coupling key are built
-and go on (7120 of 130384 at t = 13), and by the third each of those
-goes through bitmask.row_test_batch only once per relative shift d
-that stands for a candidate, that is when the A set meets the B set
-rotated by d: one call per assignment, after all its batches, on the
-tuples (A, rot_d B).  A passing tuple gives the
-hits rot_-r (A, rot_d B) = (rot_-r A, rot_{d-r} B) over the set bits r
-of that intersection.  By the fourth fact, only the assignments whose
-class sizes have k3 >= k0 are joined, one at a time; the mirror of one
-with k3 > k0 is never keyed, sorted, probed or row-tested: the search
-adds the images of its partner's hits and the partner's totals once
-more.  row_test_batch is the one statement of all the row conditions:
-it settles the rows congruent to 3 and 0 and re-checks those congruent
-to 1 and 2 on the few survivors.  The join counts the report's recipe
-column, every matched (A profile pair, B profile pair).  Its hits stay
-(n, 4) mask rows until the call that searches a distribution counts
-their solution recipes, the distinct 4-tuples of class profiles,
-turns them into sorted subsets and their index membership rows, and
-certifies every one by the direct orthogonality test, in stacks of
-_CERTIFY_BATCH matrices (one gram product per matrix), so each --jobs
-worker returns only what it has certified itself.
+So every pair of domain rows with equal keys is, once, a rotation pair
+(rot_-r A, rot_-r' B), over the r and r' valid on each side, of a
+complement image of a (catalog mask, necklace representative) pair on
+either side.  The join keys only the four catalogs, and probes the A
+keys into the B keys once.  An even number of complements keeps both
+scores, so a match's eight even images have equal keys; by the periods
+fact they hold p(n2) p(n0) candidates.  An odd number negates one
+side's score, so the odd images with equal keys are those of the pairs
+with opposite scores, p(n2) p(n0) candidates each again, and by the
+reflection fact those pairs weigh as much as the key matches in every
+batch, a run of whole groups.  So a batch counts 2 p(n2) p(n0)
+candidates checked per key match.  By the fifth fact only the images
+with a zero coupling key can pass, and a zero key is its own negation:
+each zero-coupling match stands for all sixteen of its complement
+images, and only those are built.  By the third fact each goes through
+bitmask.row_test_batch only once per relative shift d that stands for a
+candidate, that is when the A valid set meets the B set rotated by d:
+one call per assignment, after all its batches, on the tuples
+(A, rot_d B).  A passing tuple gives the hits rot_-r (A, rot_d B) =
+(rot_-r A, rot_{d-r} B) over the set bits r of that intersection.  By the fourth
+fact, only the assignments whose class sizes have k3 >= k0 are joined,
+one at a time; the mirror of one with k3 > k0 is never keyed, sorted,
+probed or row-tested: the search adds the images of its partner's hits
+and the partner's totals once more.  row_test_batch is the one
+statement of all the row conditions: it settles the rows congruent to 3
+and 0 and re-checks those congruent to 1 and 2 on the few survivors.
+The join counts the report's recipe column, every matched (A profile
+pair, B profile pair).  Its hits stay (n, 4) mask rows until the call
+that searches a distribution counts their solution recipes, the
+distinct 4-tuples of class profiles, turns them into sorted subsets and
+their index membership rows, and certifies every one by the direct
+orthogonality test, in stacks of _CERTIFY_BATCH matrices (one gram
+product per matrix), so each --jobs worker returns only what it has
+certified itself.
 
 brute_force takes no shortcuts: it runs all 2^(4t-3) canonical subsets
 that avoid each class's forbidden position through the same row test,
@@ -183,7 +186,7 @@ _JOIN_LIMIT_T = 15
 # many keyed A rows, of the class-1 catalog and the class-2 necklace
 # representatives; a group larger than that is a batch of its own (none
 # is at t <= 15, where the largest holds 2580).  A batch keys, sorts and
-# probes its rows and keeps its zero-coupling images; it makes no row
+# probes its rows and keeps its zero-coupling matches; it makes no row
 # test of its own.  Measured on 2 cores, 2^12 to 2^15 in turn, medians
 # (ranges): run_search(13), eight runs each, takes 0.31 (0.31-0.37),
 # 0.31 (0.30-0.33), 0.31 (0.30-0.32) and 0.31 (0.30-0.34) s at peak RSS
@@ -214,11 +217,6 @@ _BRUTE_LIMIT_BITS = 25
 # peak RSS for 2^18 and 0.120-0.130 s at 38.6-38.7 MB for 2^19, so no
 # larger slab is reliably faster, and each costs RSS.
 _BRUTE_SLAB_ROWS = 1 << 18
-
-# The even complement patterns of a mask row, one 0/1 flag per class in
-# CLASS_ORDER; each keeps every key match (the Even complements fact).
-_EVEN = np.array([p for p in np.ndindex(2, 2, 2, 2) if sum(p) % 2 == 0])
-
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -428,18 +426,14 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     most _CHUNK_ROWS A rows (a larger group is a batch of its own), and
     joined on (group, coupling scores); the keys come from one float64
     product per matched profile pair (see _side_keys), and a row is
-    built from its key position only when its key matches.  Each
-    catalog holds the smaller of a class's two sizes; the A keys and
-    the A complements' keys are probed into the B keys, and each match
-    stands for its eight even complement images (the module docstring's
-    Even complements fact).  Each image (A row, B row) stands for its
-    valid rotations on either side, the candidates it counts, which are
-    summed per match without building its images.  Only the images
-    whose coupling key is zero can pass (termwise balance), so each
-    batch builds and keeps just those, and after the last batch one
-    row_test_batch call tests every kept image (A, B) as (A, rot_d B),
-    for each d that stands for a candidate.  A passing tuple gives its
-    rotations by -r as hits, over the r valid on both sides.
+    built from its key position only when its key matches.  Each batch
+    probes the A keys into the B keys once, counts 2 p(n2) p(n0)
+    candidates per match and keeps the zero-coupling matches (the
+    module docstring's counting paragraph).  After the last batch each
+    kept match's sixteen complement images go through one
+    row_test_batch call as (A, rot_d B), for each d that stands for a
+    candidate.  A passing tuple gives its rotations by -r as hits, over
+    the r valid on both sides.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -457,50 +451,38 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
-    full = (1 << t) - 1
-    flip = np.array([0, full])
-    e1, _, e3, e0 = _EVEN.T
-    shifts = np.arange(t)
-    # (rows, va, vb) of each batch's zero-coupling images.
+    # (rows, p2, p0) of each batch's zero-coupling matches.
     kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 2)]
     checked = g = 0
     while g < len(sums):
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
         bkey, border, brows = _side_keys(t, b, g, h)
         akey, aorder, arows = _side_keys(t, a, g, h)
-        # Key match i joins the A row at key position ia[i] to the B row at
-        # ib[i]; from the first `plain` on, with the A row's class-1 mask
-        # complemented (key j base + c negated to j base + base - 1 - c).
         i, j = _matches(akey, bkey)
-        i2, j2 = _matches((2 * (akey // base) + 1) * base - 1 - akey, bkey)
-        plain = len(i)
-        i = np.concatenate([i, i2])
-        ia, ib = aorder[i], border[np.concatenate([j, j2])]
         # A solution has every pair term zero (termwise balance, see
         # bitmask), so only a match whose coupling digits are all t can
         # pass the row test.
         zero = akey[i] % base == base // 2
+        ia, ib = aorder[i], border[j]
         # Freeing the batch's keys before its matched rows are built holds
         # run_search(13)'s peak RSS ~0.5 MB lower.
-        del akey, bkey, aorder, border, i, j, i2, j2
+        del akey, bkey, aorder, border, i, j
         u1, u2, p2 = arows(ia)
         u3, u0, p0 = brows(ib)
-        u1[plain:] ^= full
-        # Each match stands for its eight even complement images.  An
-        # image's va is va[:, e1] and its vb is vb[:, e3, e0]: class 2 has
-        # no forbidden position, a complement keeps the period, and in
-        # _EVEN each (e1, e3, e0) occurs once.
-        va = _valid_shifts(t, forbidden_position(1, t), u1[:, None] ^ flip, p2[:, None])
-        b30 = (u3[:, None] ^ flip)[:, :, None] | (u0[:, None] ^ flip)[:, None]
-        vb = _valid_shifts(t, forbidden_position(3, t), b30, p0[:, None, None])
-        checked += int(
-            np.bitwise_count(va).sum(axis=1, dtype=np.int64)
-            @ np.bitwise_count(vb).sum(axis=(1, 2), dtype=np.int64)
-        )
-        rows = np.stack([u1, u2, u3, u0], axis=1)[zero, None] ^ _EVEN * full
-        kept.append((rows.reshape(-1, 4), va[zero][:, e1].ravel(), vb[zero][:, e3, e0].ravel()))
+        # A match counts p2 p0 candidates, and the matches of the negated
+        # A keys, which this probe skips, weigh as much (the Periods and
+        # Reflection facts).
+        checked += 2 * int(p2 @ p0)
+        kept.append((np.stack([u1, u2, u3, u0], axis=1)[zero], p2[zero], p0[zero]))
         g = h
-    rows, va, vb = (np.concatenate(part) for part in zip(*kept))
+    rows, p2, p0 = (np.concatenate(part) for part in zip(*kept))
+    # Each zero-coupling match stands for all sixteen complement images.
+    full = (1 << t) - 1
+    rows = (rows[:, None] ^ np.array(list(np.ndindex(2, 2, 2, 2))) * full).reshape(-1, 4)
+    p2, p0 = np.repeat(p2, 16), np.repeat(p0, 16)
+    va = _valid_shifts(t, forbidden_position(1, t), rows[:, 0], p2)
+    vb = _valid_shifts(t, forbidden_position(3, t), rows[:, 2] | rows[:, 3], p0)
+    shifts = np.arange(t)
     # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
     # which is rot_-r of the tested tuple (A, rot_d B) and passes exactly
     # when it does, so each match is tested once per d that stands for a

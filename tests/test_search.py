@@ -212,18 +212,58 @@ def test_rotations_of_representatives_are_the_class_domains(t):
         assert any(((rep.periods > 1) & (rep.periods < t)).any() for rep in reps)
 
 
+@pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
+def test_key_matches_count_by_periods(t):
+    # The join counts 2 p(n2) p(n0) candidates per key match of its one
+    # probe.  Periods: each rotation below the necklace's period is valid
+    # for exactly one complement image of a row, of c and ~c on the A
+    # side and of the four (u3, u0) flips on the B side.  Reflection:
+    # mu_-1 keeps profiles and periods and negates every pair term, so a
+    # B side's (profile pair, coupling score, period) triples are
+    # symmetric in the score, and the matches of the negated A keys
+    # weigh as much as those of the A keys.
+    tables = mask_tables(t)
+    base, full = (2 * t + 1) ** tables.half, (1 << t) - 1
+    f1, f3 = forbidden_position(1, t), forbidden_position(3, t)
+    valid_shifts = cochad.search._valid_shifts
+    sizes = range(t // 2 + 1)
+    scored = False
+    for kx, ky in product(sizes, sizes):
+        cat, reps = class_masks(t, kx), necklace_masks(t, ky)
+        x, y = np.repeat(cat.flat, len(reps.flat)), np.tile(reps.flat, len(cat.flat))
+        periods = np.tile(reps.periods, len(cat.flat))
+        a = sum(np.bitwise_count(valid_shifts(t, f1, x ^ e1 * full, periods)) for e1 in (0, 1))
+        assert np.array_equal(a, periods)
+        b = sum(
+            np.bitwise_count(valid_shifts(t, f3, (x ^ e3 * full) | (y ^ e0 * full), periods))
+            for e3, e0 in np.ndindex(2, 2)
+        )
+        assert np.array_equal(b, periods)
+        xcode = np.repeat(np.repeat(cat.codes, cat.sizes), len(reps.flat))
+        ycode = np.tile(np.repeat(reps.codes, reps.sizes), len(cat.flat))
+        score = coupling_key(tables, 0, x, y, -1) - base // 2
+        scored |= bool(score.any())
+        triples = np.stack([xcode, ycode, score, periods], axis=1)
+        reflected = triples * np.array([1, 1, -1, 1])
+        assert sorted(map(tuple, triples.tolist())) == sorted(map(tuple, reflected.tolist()))
+    assert scored
+
+
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
     # or one larger group; at 24 most t = 9 groups are batches of their
-    # own.  Every batch keys the four one-size catalogs, counts the
-    # candidates of all its key matches' even
-    # complement images, and keeps those whose coupling key is zero; each
-    # joined assignment then makes one row test of its kept images, once
-    # per relative shift that stands for a candidate, whatever the
-    # batches.  Its mirror is never keyed or row-tested.
+    # own.  Every batch keys the four one-size catalogs, probes its A keys
+    # into its B keys once, counts the candidates of its key matches by
+    # their necklace periods, and keeps the matches whose coupling key is
+    # zero; each joined assignment then makes one row test of their
+    # complement images, once per relative shift that stands for a
+    # candidate, whatever the batches.  Its mirror is never keyed or
+    # row-tested.
     events = []
     batches = []  # (groups, keyed rows) of each side of each batch
+    probes = []  # the A key count of each _matches call
     real_keys, real_test = cochad.search._side_keys, cochad.search.row_test_batch
+    real_matches = cochad.search._matches
 
     def size_of(catalog):
         """The class size of a catalog, min(k, t - k): its popcount."""
@@ -241,6 +281,10 @@ def test_join_batches_do_not_change_results(monkeypatch):
     def row_test_batch(tables, *cols):
         events.append(np.broadcast(*cols).size)
         return real_test(tables, *cols)
+
+    def matches(akey, bkey):
+        probes.append(len(akey))
+        return real_matches(akey, bkey)
 
     def joins():
         """The (assignment, batches, row-test rows) of each join, from
@@ -261,16 +305,21 @@ def test_join_batches_do_not_change_results(monkeypatch):
 
     monkeypatch.setattr(cochad.search, "_side_keys", side_keys)
     monkeypatch.setattr(cochad.search, "row_test_batch", row_test_batch)
+    monkeypatch.setattr(cochad.search, "_matches", matches)
     default = run_search(9)
     default_joins = joins()
     # A quarter of the 37008 rows that keying both masks of every
     # complement pair of each side would take.
     assert sum(rows for _, rows in batches) == 9252
+    # One probe per batch, with all of the batch's A keys.
+    assert probes == [rows for _, rows in batches[1::2]]
     monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 24)
     batches.clear()
+    probes.clear()
     tiny = run_search(9)
     tiny_joins = joins()
     assert sum(rows for _, rows in batches) == 9252
+    assert probes == [rows for _, rows in batches[1::2]]
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
     # Only the assignments with k3 >= k0 are keyed; the rest are their
@@ -357,8 +406,9 @@ def test_complement_negates_coupling_key(t):
     # both keeps it: the join keys (~c, n) and (c, ~n) at
     # 2 (j base + base // 2) minus the key of (c, n), in the same group j,
     # and (~c, ~n) at the key of (c, n).  So an even number of complements
-    # among a match's four masks keeps the match, and the join keys only
-    # the four one-size catalogs.  Their complements must then be the
+    # among a match's four masks keeps the match, an odd number negates
+    # one side's score, and the join keys only the four one-size
+    # catalogs.  Their complements must then be the
     # other size in the same groups (test_class_masks_hold_one_size), and
     # the complement of a catalog mask or necklace representative must
     # have its period, so that it stands for its necklace.
@@ -375,16 +425,32 @@ def test_complement_negates_coupling_key(t):
         assert np.array_equal(coupling_key(tables, j, c ^ full, n, sign), negated)
         assert np.array_equal(coupling_key(tables, j, c, n ^ full, sign), negated)
         assert np.array_equal(coupling_key(tables, j, c ^ full, n ^ full, sign), key)
-    # Each of the eight patterns of _EVEN turns the A and the B coupling
-    # score of a seeded (A row, B row) pair alike: both kept or both
-    # negated.
-    even = cochad.search._EVEN
-    assert len({tuple(p) for p in even.tolist()}) == 8 and not (even.sum(axis=1) % 2).any()
+    # Over all sixteen complement patterns of a seeded (A row, B row)
+    # pair, an even pattern keeps both coupling scores and an odd one
+    # negates exactly one side's.  So rows whose scores are both zero stay
+    # zero under every pattern: the join builds all sixteen images of
+    # each zero-coupling match.
+    patterns = np.array(list(np.ndindex(2, 2, 2, 2)))
     rows = rng.integers(0, 1 << t, size=(500, 1, 4))
-    images = rows ^ even * full
+    images = rows ^ patterns * full
     za, za_image = (coupling_key(tables, 0, u[..., 0], u[..., 1], 1) - base // 2 for u in (rows, images))
     zb, zb_image = (coupling_key(tables, 0, u[..., 2], u[..., 3], -1) - base // 2 for u in (rows, images))
-    assert np.array_equal(za_image * zb, za * zb_image)
+    sa, sb = (-1) ** patterns[:, :2].sum(axis=1), (-1) ** patterns[:, 2:].sum(axis=1)
+    assert np.array_equal(za_image, za * sa) and np.array_equal(zb_image, zb * sb)
+    odd = patterns.sum(axis=1) % 2 == 1
+    assert ((sa * sb == -1) == odd).all() and odd.sum() == 8
+    # Seeded zero-coupling rows: x with x^T W y = 0 for a seeded y.
+    y = rng.integers(0, 1 << t, size=60)
+    xs = np.arange(1 << t)
+    u1, u2 = (m.ravel() for m in np.meshgrid(xs, y, indexing="ij"))
+    zero = coupling_key(tables, 0, u1, u2, 1) == base // 2
+    assert zero.any() and not zero.all()
+    u1, u2 = u1[zero][:200], u2[zero][:200]
+    zrows = np.stack([u1, u2, u1[::-1], u2[::-1]], axis=1)[:, None]
+    assert (coupling_key(tables, 0, zrows[..., 2], zrows[..., 3], -1) == base // 2).all()
+    zimages = zrows ^ patterns * full
+    assert (coupling_key(tables, 0, zimages[..., 0], zimages[..., 1], 1) == base // 2).all()
+    assert (coupling_key(tables, 0, zimages[..., 2], zimages[..., 3], -1) == base // 2).all()
     shifts = np.arange(1, t + 1)
     for k in range(t // 2 + 1):
         for side in class_masks(t, k), necklace_masks(t, k):
