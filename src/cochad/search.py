@@ -47,11 +47,7 @@ facts make this exact:
     (c, n, r) with 0 <= r < period(n): n and r are fixed by u2, as
     its necklace has one representative and the rotations of n below
     its period are distinct, and then c = rot_r(u1) is in class 1's
-    masks, which are closed under rotation.  The row is in D1 x D2
-    exactly when rot_-r(c) avoids class 1's forbidden position f (class
-    2 has none), that is when bit r of rot_-f(c) is clear; a B row is in
-    D3 x D0 when rot_-r(c | n) avoids t - 1.  So the valid r of each
-    side form one t-bit set.
+    masks, which are closed under rotation.
   * Relative shift.  The row test sees the four masks only through
     such popcounts and the head profiles, so rotating all four together
     keeps its verdict: (rot_-r A, rot_-r' B) passes exactly when
@@ -63,12 +59,11 @@ facts make this exact:
     -pair_ci(u1, u2, m)), keeps every forbidden position (class 2 has
     none, classes 3 and 0 share t - 1) and commutes with rotation.  So
     it maps the key matches of assignment (e1, e2, e3, e0) one to one
-    onto those of (e1, e2, e0, e3), with the same valid rotations: u1
-    is kept, ~u2 has u2's period and u3 | u0 is symmetric.  The
-    mirror's residue-3 and residue-0 sums are the match's residue-0 and
-    residue-3 sums (bitmask.PAIR_ORDER), so a mirror passes exactly
-    when its match does, and the mirror's hits are the images of the
-    match's.
+    onto those of (e1, e2, e0, e3), with the same periods (u1 is kept,
+    ~u2 has u2's period) and the same canonical forms.  The mirror's
+    residue-3 and residue-0 sums are the match's residue-0 and residue-3
+    sums (bitmask.PAIR_ORDER), so a mirror passes exactly when its match
+    does, and the mirror's hits are the images of the match's.
   * Termwise balance.  A solution has every pair term zero at every m
     (bitmask docstring), pair_ci(u1, u2, m) among them, and joint
     rotation keeps that.  So only a key match whose coupling digits
@@ -79,38 +74,43 @@ facts make this exact:
     in t bits).  A complement keeps the head profile and the period, so
     the complements of a catalog's group are the other class size's
     masks of that profile, and a pair with a zero coupling key stays
-    zero under every complement pattern of its four masks.
-  * Periods.  For A, bit r < p(n2) is clear in exactly one of
-    rot_-f(c) and rot_-f(~c), f class 1's forbidden position, and class
-    2 has none.  For B, position t - 1 + r lies in neither mask for
-    exactly one of the four (u3, u0) flips.  So each rotation below a
-    period is valid for exactly one complement image of its side.
+    zero under every complement pattern of its four masks.  A pattern
+    negates some pair terms and keeps every head profile, so by termwise
+    balance it keeps the row test's verdict.
+  * Canonical form.  cocyclic.canonicalize's three relations toggle
+    classes 1 and 2, 3 and 2, or 0 and 2 (_canonical); they generate the
+    eight even complement patterns.  A pattern's class-1, -3 and -0 bits
+    settle whether an image avoids the forbidden positions, so the even
+    and the odd images of a row each hold one row of D1 x D2 x D3 x D0,
+    its canonical form.
   * Reflection.  mu_-1 keeps profiles and periods (bitmask's affine
     maps) and negates every pair term; followed by the rotation that
     takes its class-0 image back to the necklace's least rotation, it
     permutes a B group's rows.  So each B group's (score, period)
     multiset is symmetric.
 
-So every pair of domain rows with equal keys is, once, a rotation pair
-(rot_-r A, rot_-r' B), over the r and r' valid on each side, of a
-complement image of a (catalog mask, necklace representative) pair on
-either side.  The join keys only the four catalogs, and probes the A
-keys into the B keys once.  An even number of complements keeps both
-scores, so a match's eight even images have equal keys; by the periods
-fact they hold p(n2) p(n0) candidates.  An odd number negates one
-side's score, so the odd images with equal keys are those of the pairs
-with opposite scores, p(n2) p(n0) candidates each again, and by the
-reflection fact those pairs weigh as much as the key matches in every
-batch, a run of whole groups.  So a batch counts 2 p(n2) p(n0)
-candidates checked per key match.  By the fifth fact only the images
-with a zero coupling key can pass, and a zero key is its own negation:
-each zero-coupling match stands for all sixteen of its complement
-images, and only those are built.  By the third fact each goes through
-bitmask.row_test_batch only once per relative shift d that stands for a
-candidate, that is when the A valid set meets the B set rotated by d:
-one call per assignment, after all its batches, on the tuples
-(A, rot_d B).  A passing tuple gives the hits rot_-r (A, rot_d B) =
-(rot_-r A, rot_{d-r} B) over the set bits r of that intersection.  By the fourth
+So every pair of domain rows with equal keys is, once, the canonical
+form of a complement image of a rotation pair (rot_-r A, rot_-r' B),
+r < p(n2) and r' < p(n0), of a (catalog mask, necklace representative)
+pair on either side.  The join keys only the four catalogs, and probes
+the A keys into the B keys once.  An even number of complements keeps
+both scores, so a match's eight even images have equal keys; by the
+canonical form fact they hold one candidate per (r, r'), p(n2) p(n0)
+in all.  An odd number negates one side's score, so the odd images
+with equal keys are those of the pairs with opposite scores, p(n2)
+p(n0) candidates each again, and by the reflection fact those pairs
+weigh as much as the key matches in every batch, a run of whole
+groups.  So a batch counts 2 p(n2) p(n0) candidates checked per key
+match.  By the fifth fact only the images with a zero coupling key can
+pass, and a zero key is its own negation: a zero-coupling match stands
+for one candidate of each parity per (r, r'), and by the sixth fact
+all its images share its verdict, so the match is tested as it is.  By
+the third fact it goes through bitmask.row_test_batch only once per
+relative shift d that stands for a candidate, that is when some r <
+p(n2) has r - d below p(n0) modulo t: one call per assignment, after
+all its batches, on the tuples (A, rot_d B).  Over those r, a passing
+tuple gives the canonical forms of rot_-r (A, rot_d B) = (rot_-r A,
+rot_{d-r} B) and of its class-2 complement as hits.  By the fourth
 fact, only the assignments whose class sizes have k3 >= k0 are joined,
 one at a time; the mirror of one with k3 > k0 is never keyed, sorted,
 probed or row-tested: the search adds the images of its partner's hits
@@ -398,19 +398,6 @@ def _matches(akey, bkey):
     return i, np.repeat(first - np.cumsum(reps) + reps, reps) + np.arange(len(i))
 
 
-def _valid_shifts(t: int, forb: int, masks, periods):
-    """The rotations rot_-r of a side's rows that stay in its class domains.
-
-    Each row's necklace mask has period periods[i], so the r below it
-    give distinct rows; masks[i] is the union of the row's masks that
-    must avoid position forb, and masks and periods broadcast.  Bit r
-    of the t-bit result is set when r is below the period and
-    rot_-r(masks[i]) avoids forb: rot_-r(x) covers forb exactly when
-    bit r of rot_-forb(x) is set.
-    """
-    return ((1 << periods) - 1) & ~rotate(t, masks, (t - forb) % t)
-
-
 def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     """Mask 4-tuples satisfying all row conditions for one assignment,
     with its totals.
@@ -430,10 +417,10 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     probes the A keys into the B keys once, counts 2 p(n2) p(n0)
     candidates per match and keeps the zero-coupling matches (the
     module docstring's counting paragraph).  After the last batch each
-    kept match's sixteen complement images go through one
-    row_test_batch call as (A, rot_d B), for each d that stands for a
-    candidate.  A passing tuple gives its rotations by -r as hits, over
-    the r valid on both sides.
+    kept match goes through one row_test_batch call as (A, rot_d B),
+    for each d that stands for a candidate.  A passing tuple gives two
+    hits per r below p(n2) with r - d below p(n0): the canonical forms
+    of its rotation by -r and of that rotation's class-2 complement.
     """
     tables = mask_tables(t)
     c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
@@ -470,32 +457,38 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         u1, u2, p2 = arows(ia)
         u3, u0, p0 = brows(ib)
         # A match counts p2 p0 candidates, and the matches of the negated
-        # A keys, which this probe skips, weigh as much (the Periods and
-        # Reflection facts).
+        # A keys, which this probe skips, weigh as much (the Canonical
+        # form and Reflection facts).
         checked += 2 * int(p2 @ p0)
         kept.append((np.stack([u1, u2, u3, u0], axis=1)[zero], p2[zero], p0[zero]))
         g = h
     rows, p2, p0 = (np.concatenate(part) for part in zip(*kept))
-    # Each zero-coupling match stands for all sixteen complement images.
-    full = (1 << t) - 1
-    rows = (rows[:, None] ^ np.array(list(np.ndindex(2, 2, 2, 2))) * full).reshape(-1, 4)
-    p2, p0 = np.repeat(p2, 16), np.repeat(p0, 16)
-    va = _valid_shifts(t, forbidden_position(1, t), rows[:, 0], p2)
-    vb = _valid_shifts(t, forbidden_position(3, t), rows[:, 2] | rows[:, 3], p0)
     shifts = np.arange(t)
-    # Bit r of live[i, d] marks the candidate (rot_-r A, rot_{d-r} B),
-    # which is rot_-r of the tested tuple (A, rot_d B) and passes exactly
-    # when it does, so each match is tested once per d that stands for a
-    # candidate.  Residues 1 and 2 hold by the join; the kernel re-checks
-    # them on its survivors.
-    live = va[:, None] & rotate(t, vb[:, None], shifts)
+    # Bit r of live[i, d] is set when r < p2 and r - d < p0 (mod t): the
+    # pair (rot_-r A, rot_{d-r} B) is rot_-r of the tested (A, rot_d B)
+    # and passes exactly when it does.  Residues 1 and 2 hold by the
+    # join; the kernel re-checks them on its survivors.
+    live = ((1 << p2) - 1)[:, None] & rotate(t, ((1 << p0) - 1)[:, None], shifts)
     i, d = np.divmod(np.flatnonzero(live), t)
     tested = rotate(t, rows[i], d[:, None] * np.array([0, 0, 1, 1]))
     passed = row_test_batch(tables, *tested.T)
-    # A passing (i, d) gives one hit per set bit r of live[i, d].
+    # Per set bit r of a passing live[i, d], the canonical forms of
+    # rot_-r (A, rot_d B) and of its class-2 complement: one of each parity.
     i, d, tested = i[passed], d[passed], tested[passed]
     k, r = np.divmod(np.flatnonzero((live[i, d, None] >> shifts) & 1), t)
-    return rotate(t, tested[k], (t - r[:, None]) % t), recipe_count, checked
+    hits = rotate(t, tested[k], (t - r[:, None]) % t)
+    hits = np.concatenate([hits, hits ^ np.array([0, (1 << t) - 1, 0, 0])])
+    return _canonical(t, hits), recipe_count, checked
+
+
+def _canonical(t: int, rows):
+    """The canonical forms of (n, 4) mask rows (u1, u2, u3, u0): class 1
+    at its forbidden position toggles classes 1 and 2, and class 3 or 0
+    at its own toggles that class and class 2 (cocyclic.canonicalize).
+    No toggle moves another class's forbidden bit, so all three read the
+    row as it is."""
+    f1, f3, f0 = ((rows[:, j] >> forbidden_position(c, t)) & 1 for j, c in ((0, 1), (2, 3), (3, 0)))
+    return rows ^ np.stack([f1, f1 ^ f3 ^ f0, f3, f0], axis=1) * ((1 << t) - 1)
 
 
 def _mirror(t: int, rows):

@@ -30,7 +30,7 @@ from cochad.cocyclic import (
 )
 from cochad.group import GroupContext
 from cochad.paths import is_hadamard_paths
-from cochad.search import brute_force, run_search
+from cochad.search import _canonical, brute_force, run_search
 from oracles import joined_indices, mask_of, pair_terms_vanish, split_classes
 
 
@@ -358,6 +358,33 @@ def test_row_test_batch_pass_set_t5():
     assert pair_terms_vanish(t, rows).all()
 
 
+@pytest.mark.parametrize("t", range(5, 15, 2))
+def test_row_test_batch_keeps_verdict_under_complements(t):
+    # Complementing a class negates each of its pair terms at every m and
+    # keeps its head profile, so by termwise balance each of the sixteen
+    # complement patterns keeps every row's verdict.  The search's
+    # solutions, each rotated by a seeded shift, pass; seeded rows mostly
+    # fail.
+    tables = mask_tables(t)
+    full = (1 << t) - 1
+    rng = np.random.default_rng(t)
+    solutions = np.array(
+        [[split_classes(t, s)[cls] for cls in CLASS_ORDER] for s in _solution_indices(t)]
+    )
+    rows = np.concatenate(
+        [
+            rotate(t, solutions, rng.integers(0, t, size=(len(solutions), 1))),
+            rng.integers(0, 1 << t, size=(len(solutions), 4)),
+        ]
+    )
+    patterns = np.array(list(product((0, 1), repeat=4)))
+    verdicts = np.zeros((len(patterns), len(rows)), dtype=bool)
+    for j, pattern in enumerate(patterns):
+        verdicts[j, row_test_batch(tables, *(rows ^ pattern * full).T)] = True
+    assert (verdicts == verdicts[0]).all()
+    assert verdicts[0, : len(solutions)].all() and verdicts[0, len(solutions) :].mean() < 0.5
+
+
 def test_cross_conditions_are_termwise_balance_t5():
     # Termwise balance (bitmask docstring): over all 2^20 quadruples of
     # class masks at t = 5, the residue-2, -3 and -0 conditions hold at
@@ -383,12 +410,7 @@ def _canonical_images(t, rows, perm):
     """Packed 4t-bit keys of canonicalize(g S) for the subsets S of (n, 4)
     mask rows, g moving cycle position p to perm[p] in every class."""
     moved = (((rows[..., None] >> np.arange(t)) & 1) << perm).sum(axis=-1)
-    # canonicalize's relation kernels as whole-class XORs in CLASS_ORDER
-    # columns: index 1 (class 1 at position 0) toggles classes 1 and 2,
-    # index 4t - 1 or 4t (class 3 or 0 at t - 1) its class and class 2.
-    for col, pos in ((0, 0), (2, t - 1), (3, t - 1)):
-        moved[:, [col, 1]] ^= ((moved[:, [col]] >> pos) & 1) * ((1 << t) - 1)
-    return (moved << t * np.arange(4)).sum(axis=1)
+    return (_canonical(t, moved) << t * np.arange(4)).sum(axis=1)
 
 
 @pytest.mark.parametrize("t, orbits", [(3, 8), (5, 12), (7, 40), (9, 104), (11, 48)])

@@ -16,13 +16,19 @@ from cochad.bitmask import (
     CLASS_ORDER,
     PAIR_ORDER,
     MaskTables,
-    forbidden_position,
     mask_tables,
     pair_ci,
     rotate,
     row_test_batch,
 )
-from cochad.cocyclic import CoboundarySubset, assemble_cocyclic, format_matrix, is_hadamard_direct
+from cochad.cocyclic import (
+    CoboundarySubset,
+    assemble_cocyclic,
+    canonicalize,
+    format_matrix,
+    is_hadamard_direct,
+    prohibited_indices,
+)
 from cochad.distributions import entry_class_size, enumerate_distributions
 from cochad.group import GroupContext
 from cochad.recipes import ClassMasks, class_masks, necklace_masks
@@ -182,26 +188,27 @@ def test_candidates_checked_frozen():
 @pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
 def test_rotations_of_representatives_are_the_class_domains(t):
     # The join keys (c, n) from a one-size catalog and the necklace
-    # representatives of one, and each match stands also for its
-    # complement images: c or ~c, and n or ~n, which has n's period.  A
-    # row stands for the rotations rot_-r whose bit r its side's valid
-    # set holds.  Over every pair of class sizes (k and t - k share a
-    # catalog), those rotations must give each row of the oracle's
-    # two-size class domains exactly once.
+    # representatives of one, and a match stands for the canonical forms
+    # of its complement images rotated by -r, r below n's period.  On the
+    # A side the relation of class 1 at 0 toggles classes 1 and 2 at
+    # once, so (c, n) and (c, ~n) stand for its two cosets; on the B side
+    # the relations of classes 3 and 0 toggle each on its own, so (c, n)
+    # stands for all four images.  Over every pair of class sizes (k and
+    # t - k share a catalog), the canonical forms must give each row of
+    # the oracle's two-size class domains exactly once.
     full = (1 << t) - 1
     sizes = range(t // 2 + 1)
     for (xcls, ycls), kx, ky in product(((1, 2), (3, 0)), sizes, sizes):
         c, n = class_masks(t, kx).flat, necklace_masks(t, ky)
-        c, ny, periods = np.append(c, c ^ full), np.append(n.flat, n.flat ^ full), np.tile(n.periods, 2)
-        x = np.repeat(c, len(ny))
-        y = np.tile(ny, len(c))
-        # Class 2 has no forbidden position; classes 3 and 0 share t - 1.
-        guarded = x if ycls == 2 else x | y
-        forb = forbidden_position(xcls, t)
-        valid = cochad.search._valid_shifts(t, forb, guarded, np.tile(periods, len(c)))
-        assert (valid >> t == 0).all()
-        i, r = np.nonzero((valid[:, None] >> np.arange(t)) & 1)
-        u, v = rotate(t, x[i], (t - r) % t), rotate(t, y[i], (t - r) % t)
+        ny, periods = n.flat, n.periods
+        if xcls == 1:
+            ny, periods = np.append(ny, ny ^ full), np.tile(periods, 2)
+        x, y = np.repeat(c, len(ny)), np.tile(ny, len(c))
+        i, r = np.nonzero(np.arange(t) < np.tile(periods, len(c))[:, None])
+        cols = [0, 1] if xcls == 1 else [2, 3]
+        rows = np.zeros((len(i), 4), dtype=np.int64)
+        rows[:, cols] = rotate(t, np.stack([x[i], y[i]], axis=1), (t - r[:, None]) % t)
+        u, v = cochad.search._canonical(t, rows)[:, cols].T
         dx = np.sort(class_domain(t, kx, xcls).flat)
         dy = np.sort(class_domain(t, ky, ycls).flat)
         # want ascends strictly, so equal sorted arrays also rule out repeats
@@ -212,33 +219,41 @@ def test_rotations_of_representatives_are_the_class_domains(t):
         assert any(((rep.periods > 1) & (rep.periods < t)).any() for rep in reps)
 
 
+@pytest.mark.parametrize("t", range(3, 17, 2))
+def test_canonical_matches_canonicalize(t):
+    # _canonical is canonicalize's three relations on mask rows: seeded
+    # subsets, canonical or not, must give the same canonical subset.
+    ctx = GroupContext(t)
+    rng = np.random.default_rng(t)
+    picks = rng.random((300, 4 * t)) < rng.random((300, 1))
+    subsets = [frozenset((np.flatnonzero(row) + 1).tolist()) for row in picks]
+    rows = np.array([[split_classes(t, s)[cls] for cls in CLASS_ORDER] for s in subsets])
+    canonical = [not subset & prohibited_indices(ctx) for subset in subsets]
+    assert any(canonical) and not all(canonical)
+    want = []
+    for subset in subsets:
+        canon = split_classes(t, canonicalize(CoboundarySubset(ctx, subset))[0].indices)
+        want.append([canon[cls] for cls in CLASS_ORDER])
+    assert np.array_equal(cochad.search._canonical(t, rows), np.array(want))
+
+
 @pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
 def test_key_matches_count_by_periods(t):
     # The join counts 2 p(n2) p(n0) candidates per key match of its one
-    # probe.  Periods: each rotation below the necklace's period is valid
-    # for exactly one complement image of a row, of c and ~c on the A
-    # side and of the four (u3, u0) flips on the B side.  Reflection:
-    # mu_-1 keeps profiles and periods and negates every pair term, so a
-    # B side's (profile pair, coupling score, period) triples are
-    # symmetric in the score, and the matches of the negated A keys
-    # weigh as much as those of the A keys.
+    # probe.  Its even images hold one candidate per pair of rotations
+    # below the periods (test_rotations_of_representatives_are_the_class_domains).
+    # Reflection: mu_-1 keeps profiles and periods and negates every pair
+    # term, so a B side's (profile pair, coupling score, period) triples
+    # are symmetric in the score, and the matches of the negated A keys,
+    # which stand for the odd images, weigh as much as those of the A keys.
     tables = mask_tables(t)
-    base, full = (2 * t + 1) ** tables.half, (1 << t) - 1
-    f1, f3 = forbidden_position(1, t), forbidden_position(3, t)
-    valid_shifts = cochad.search._valid_shifts
+    base = (2 * t + 1) ** tables.half
     sizes = range(t // 2 + 1)
     scored = False
     for kx, ky in product(sizes, sizes):
         cat, reps = class_masks(t, kx), necklace_masks(t, ky)
         x, y = np.repeat(cat.flat, len(reps.flat)), np.tile(reps.flat, len(cat.flat))
         periods = np.tile(reps.periods, len(cat.flat))
-        a = sum(np.bitwise_count(valid_shifts(t, f1, x ^ e1 * full, periods)) for e1 in (0, 1))
-        assert np.array_equal(a, periods)
-        b = sum(
-            np.bitwise_count(valid_shifts(t, f3, (x ^ e3 * full) | (y ^ e0 * full), periods))
-            for e3, e0 in np.ndindex(2, 2)
-        )
-        assert np.array_equal(b, periods)
         xcode = np.repeat(np.repeat(cat.codes, cat.sizes), len(reps.flat))
         ycode = np.tile(np.repeat(reps.codes, reps.sizes), len(cat.flat))
         score = coupling_key(tables, 0, x, y, -1) - base // 2
@@ -255,8 +270,8 @@ def test_join_batches_do_not_change_results(monkeypatch):
     # own.  Every batch keys the four one-size catalogs, probes its A keys
     # into its B keys once, counts the candidates of its key matches by
     # their necklace periods, and keeps the matches whose coupling key is
-    # zero; each joined assignment then makes one row test of their
-    # complement images, once per relative shift that stands for a
+    # zero; each joined assignment then makes one row test of those
+    # matches as they are, once per relative shift that stands for a
     # candidate, whatever the batches.  Its mirror is never keyed or
     # row-tested.
     events = []
@@ -334,7 +349,7 @@ def test_join_batches_do_not_change_results(monkeypatch):
     for runs in (default_joins, tiny_joins):
         assert len(runs) == len(joined)
         assert {assignment for assignment, _, _ in runs} == joined
-        assert sum(rows for _, _, rows in runs) == 15278
+        assert sum(rows for _, _, rows in runs) == 1863
     assert sum(n for _, n, _ in tiny_joins) > sum(n for _, n, _ in default_joins)
     abatches = batches[1::2]
     assert all(groups == 1 or rows <= 24 for groups, rows in abatches)
@@ -428,8 +443,8 @@ def test_complement_negates_coupling_key(t):
     # Over all sixteen complement patterns of a seeded (A row, B row)
     # pair, an even pattern keeps both coupling scores and an odd one
     # negates exactly one side's.  So rows whose scores are both zero stay
-    # zero under every pattern: the join builds all sixteen images of
-    # each zero-coupling match.
+    # zero under every pattern: each zero-coupling match stands for all
+    # sixteen of its images.
     patterns = np.array(list(np.ndindex(2, 2, 2, 2)))
     rows = rng.integers(0, 1 << t, size=(500, 1, 4))
     images = rows ^ patterns * full
