@@ -57,7 +57,9 @@ canonical member of S's coset under its three relation kernels, each
 a union of whole classes.  A position map fixes every whole class, so
 it maps cosets onto cosets: S -> canonicalize(g S) permutes the
 canonical solutions for every affine g: p -> u p + c.  The tests check
-this closure and count its orbits for t <= 11.
+this closure and count its orbits for t <= 13.  multiply applies mu_u
+to masks; the search keys one necklace per multiplier orbit on one
+side of its join and maps the hits through every mu_u.
 
 row_test_batch is the one executable statement of those identities:
 the search runs its joined candidates through it and brute force runs
@@ -161,6 +163,21 @@ def rotate(t: int, masks, s):
     Broadcasts masks against s; position p moves to (p + s) mod t.
     """
     return ((masks << s) | (masks >> (t - s))) & ((1 << t) - 1)
+
+
+def multipliers(t: int) -> np.ndarray:
+    """The u in 1 .. t - 1 prime to t, ascending: phi(t) of them."""
+    return np.array([u for u in range(1, t) if math.gcd(u, t) == 1])
+
+
+def multiply(t: int, masks, u):
+    """masks under mu_u, position p moved to u p mod t, for u prime to t.
+
+    Broadcasts masks against u, as rotate does against s.
+    """
+    p = np.arange(t)
+    bits = (np.asarray(masks)[..., None] >> p) & 1
+    return (bits << np.asarray(u)[..., None] * p % t).sum(axis=-1)
 
 
 def join_classes(t: int, rows) -> np.ndarray:

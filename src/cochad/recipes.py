@@ -16,7 +16,8 @@ base-(t + 1) code, the group sizes and offsets, and each mask's
 rotation period.  The catalog is closed under rotation and knows no
 class: the search applies each class's forbidden position itself.
 necklace_masks is the same catalog cut down to one mask per necklace,
-its least rotation.  The ingredients command prints the groups.
+its least rotation, and necklace_orbits cuts that to one necklace per
+multiplier orbit.  The ingredients command prints the groups.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitmask import ingredient_counts, mask_tables, rotate
+from .bitmask import ingredient_counts, mask_tables, multiply, multipliers, rotate
 from .group import validate_t
 
 
@@ -54,12 +55,16 @@ class ClassMasks:
     def select(self, keep: np.ndarray) -> ClassMasks:
         """The masks where keep is true, grouped and coded as here.
 
-        Every group must keep a mask, so the codes stay the same.
+        A group that keeps no mask is dropped with its code; when every
+        group keeps one, the codes array is this one's.
         """
         group = np.repeat(np.arange(len(self.codes)), self.sizes)[keep]
         sizes = np.bincount(group, minlength=len(self.codes))
+        held = sizes > 0
+        codes = self.codes if held.all() else self.codes[held]
+        sizes = sizes[held]
         return ClassMasks(
-            codes=self.codes,
+            codes=codes,
             sizes=sizes,
             starts=np.cumsum(sizes) - sizes,
             flat=self.flat[keep],
@@ -105,3 +110,26 @@ def necklace_masks(t: int, k: int) -> ClassMasks:
     side = class_masks(t, k)
     least = rotate(t, side.flat[:, None], np.arange(t)).min(axis=1)
     return side.select(side.flat == least)
+
+
+@lru_cache(maxsize=None)
+def necklace_orbits(t: int, k: int) -> tuple[ClassMasks, np.ndarray]:
+    """One necklace of necklace_masks(t, k) per multiplier orbit, and the
+    number of necklaces each one stands for.
+
+    The multipliers mu_u, gcd(u, t) = 1, map rotations to rotations
+    (mu_u rot_m = rot_{um} mu_u), so they permute the necklaces; an orbit
+    keeps its least representative, and its size is phi(t) over the
+    number of u with mu_u fixing that necklace.  mu_u permutes head-count
+    digits, so an orbit can leave a profile group: the groups no kept
+    necklace falls in are dropped.
+    """
+    side = necklace_masks(t, k)
+    units = multipliers(t)
+    images = multiply(t, side.flat[:, None], units)
+    least = rotate(t, images[..., None], np.arange(t)).min(axis=-1)
+    keep = least.min(axis=1) == side.flat
+    fixed = np.count_nonzero(least[keep] == side.flat[keep, None], axis=1)
+    sizes = len(units) // fixed
+    sizes.flags.writeable = False
+    return side.select(keep), sizes

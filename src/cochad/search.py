@@ -34,7 +34,7 @@ stood for by (c, n): n is one mask of u2's necklace, the least rotation
 of a necklace of class 2's catalog (recipes.necklace_masks) or the
 complement of one, and c a mask of class 1's catalog or the complement
 of one, a set closed under rotation; a B row (u3, u0) of D3 x D0
-likewise by c from class 3's catalog and n from u0's necklace.  Eight
+likewise by c from class 3's catalog and n from u0's necklace.  Nine
 facts make this exact:
 
   * Invariance.  Rotating both masks of a pair by the same s rotates
@@ -88,37 +88,55 @@ facts make this exact:
     takes its class-0 image back to the necklace's least rotation, it
     permutes a B group's rows.  So each B group's (score, period)
     multiset is symmetric.
+  * Multipliers.  mu_u: p -> u p, gcd(u, t) = 1, moves each head count
+    and pair term at shift m to the one at +-um (bitmask's affine maps):
+    one signed permutation of the profile and coupling digits, the same
+    on both sides, so it keeps key equality.  It keeps periods, maps
+    every catalog onto itself and the necklaces of a size onto
+    themselves, commutes with complements, and S -> canonicalize(mu_u S)
+    permutes the canonical solutions.  Followed by the rotation that
+    takes mu_u n to its necklace's least rotation, it maps the rows of
+    one side with necklace n one to one onto those with necklace mu_u n.
+    So the other side's rows matching the rows of n weigh, key for key,
+    as much as those matching the rows of mu_u n.
 
 So every pair of domain rows with equal keys is, once, the canonical
 form of a complement image of a rotation pair (rot_-r A, rot_-r' B),
 r < p(n2) and r' < p(n0), of a (catalog mask, necklace representative)
-pair on either side.  The join keys only the four catalogs, and probes
-the A keys into the B keys once.  An even number of complements keeps
-both scores, so a match's eight even images have equal keys; by the
-canonical form fact they hold one candidate per (r, r'), p(n2) p(n0)
-in all.  An odd number negates one side's score, so the odd images
-with equal keys are those of the pairs with opposite scores, p(n2)
-p(n0) candidates each again, and by the reflection fact those pairs
-weigh as much as the key matches in every batch, a run of whole
-groups.  So a batch counts 2 p(n2) p(n0) candidates checked per key
-match.  By the fifth fact only the images with a zero coupling key can
-pass, and a zero key is its own negation: a zero-coupling match stands
-for one candidate of each parity per (r, r'), and by the sixth fact
-all its images share its verdict, so the match is tested as it is.  By
-the third fact it goes through bitmask.row_test_batch only once per
-relative shift d that stands for a candidate, that is when some r <
-p(n2) has r - d below p(n0) modulo t: one call per assignment, after
-all its batches, on the tuples (A, rot_d B).  Over those r, a passing
-tuple gives the canonical forms of rot_-r (A, rot_d B) = (rot_-r A,
-rot_{d-r} B) and of its class-2 complement as hits.  By the fourth
-fact, only the assignments whose class sizes have k3 >= k0 are joined,
-one at a time; the mirror of one with k3 > k0 is never keyed, sorted,
-probed or row-tested: the search adds the images of its partner's hits
-and the partner's totals once more.  row_test_batch is the one
-statement of all the row conditions: it settles the rows congruent to 3
-and 0 and re-checks those congruent to 1 and 2 on the few survivors.
-The join counts the report's recipe column, every matched (A profile
-pair, B profile pair).  Its hits stay (n, 4) mask rows until the call
+pair on either side.  The join keys only the four catalogs, the side
+that keys more rows cut to one necklace per multiplier orbit
+(recipes.necklace_orbits), and probes the A keys into the B keys once.
+An even number of complements keeps both scores, so a match's eight
+even images have equal keys; by the canonical form fact they hold one
+candidate per (r, r'), p(n2) p(n0) in all.  An odd number negates one
+side's score, so the odd images with equal keys are those of the pairs
+with opposite scores, p(n2) p(n0) candidates each again, and by the
+reflection fact those pairs weigh as much as the key matches in every
+batch, a run of whole groups.  So a key match of the full catalogs
+stands for 2 p(n2) p(n0) candidates checked, and by the ninth fact a
+key match of the cut ones counts that many times the size of its cut
+necklace's orbit.  By the fifth fact only the images with a zero
+coupling key can pass, and a zero key is its own negation: a
+zero-coupling match stands for one candidate of each parity per
+(r, r'), and by the sixth fact all its images share its verdict, so the
+match is tested as it is.  By the third fact it goes through
+bitmask.row_test_batch only once per relative shift d that stands for a
+candidate, that is when some r < p(n2) has r - d below p(n0) modulo t:
+one call per assignment, after all its batches, on the tuples
+(A, rot_d B).  Over those r, a passing tuple gives rot_-r (A, rot_d B)
+= (rot_-r A, rot_{d-r} B) and its class-2 complement.  By the ninth
+fact the canonical forms of their images under every multiplier are the
+hits: each canonical solution has its cut class's mask in the orbit of
+a kept necklace or of its complement.  The images repeat, and each
+distinct row is kept once.  By the fourth fact, only the assignments
+whose class sizes have k3 >= k0 are joined, one at a time; the mirror
+of one with k3 > k0 is never keyed, sorted, probed or row-tested: the
+search adds the images of its partner's hits and the partner's totals
+once more.  row_test_batch is the one statement of all the row
+conditions: it settles the rows congruent to 3 and 0 and re-checks
+those congruent to 1 and 2 on the few survivors.  The join counts the
+report's recipe column, every matched (A profile pair, B profile pair)
+of the full catalogs.  Its hits stay (n, 4) mask rows until the call
 that searches a distribution counts their solution recipes, the
 distinct 4-tuples of class profiles, turns them into sorted subsets and
 their index membership rows, and certifies every one by the direct
@@ -159,6 +177,8 @@ from .bitmask import (
     ingredient_counts,
     join_classes,
     mask_tables,
+    multipliers,
+    multiply,
     rotate,
     row_test_batch,
 )
@@ -172,36 +192,40 @@ from .cocyclic import (
 )
 from .distributions import Distribution, class_budget, entry_class_size, enumerate_distributions
 from .group import GroupContext, validate_t
-from .recipes import ClassMasks, class_masks, necklace_masks
+from .recipes import ClassMasks, class_masks, necklace_masks, necklace_orbits
 
 # A join key is a batch-local group id times (2t+1)^((t-1)/2) plus the
 # coupling digits, so groups x (2t+1)^((t-1)/2) must stay below 2^63.
-# Every matched group has A rows, so a batch holds at most _CHUNK_ROWS
-# groups and the key fits through t = 19.  The cap stays at 15 (~1.5 s
-# serial): a t = 17 run (13056 solutions) has no second route to confirm
-# its count yet.
+# Every matched group has A rows, also after the cut to multiplier
+# orbits, which matches the profiles again, so a batch holds at most
+# _CHUNK_ROWS groups and the key fits through t = 19.  The cap stays at
+# 15 (~0.7 s serial): a t = 17 run (13056 solutions) has no second route
+# to confirm its count yet.
 _JOIN_LIMIT_T = 15
 
 # A join batch is a run of whole profile groups holding at most this
 # many keyed A rows, of the class-1 catalog and the class-2 necklace
-# representatives; a group larger than that is a batch of its own (none
-# is at t <= 15, where the largest holds 2580).  A batch keys, sorts and
-# probes its rows and keeps its zero-coupling matches; it makes no row
-# test of its own.  Measured on 2 cores, 2^12 to 2^15 in turn, medians
-# (ranges): run_search(13), eight runs each, takes 0.31 (0.31-0.37),
-# 0.31 (0.30-0.33), 0.31 (0.30-0.32) and 0.31 (0.30-0.34) s at peak RSS
-# 61.1-61.2, 60.8-60.9, 60.7-60.9 and 60.6-60.8 MB; run_search(15), ten
-# runs each at 2^14 and 2^15, five below, 1.64 (1.56-1.80), 1.64
-# (1.58-1.73), 1.49 (1.43-1.63) and 1.51 (1.45-1.74) s at 65.6-66.2,
-# 65.5-66.2, 65.4-66.0 and 65.2-65.9 MB.  From 2^14 on no size is faster
-# or lower beyond the spread.
+# representatives (one per multiplier orbit when A is the cut side); a
+# group larger than that is a batch of its own (none is at t <= 15,
+# where the largest holds 1920).  The cap bounds no B rows: a batch
+# keys all B rows of its groups.  When A is the cut side, the full B
+# side keys no more rows in all than the full A side would; per batch
+# the B rows peak at 26,663 at t = 13 and 93,510 at t = 15.  A batch
+# keys, sorts and probes its rows and keeps its zero-coupling matches;
+# it makes no row test of its own.  Measured on 2 cores, 2^13, 2^14 and
+# 2^15 in turn, three runs each: run_search(13) takes 0.209-0.216,
+# 0.201-0.205 and 0.200-0.202 s at peak RSS 60.6-60.8, 60.5-60.6 and
+# 60.5-60.6 MB, and run_search(15) 0.678-0.688, 0.661-0.683 and
+# 0.665-0.745 s at 65.4-66.1, 65.2-65.3 and 65.3-65.4 MB.  From 2^14
+# on no size is faster or lower beyond the spread.
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
-# the 8424 solutions of run_search(13), 2 cores: 32 to 128 take
-# 0.13 s in all and 256 takes 0.15 s, while peak RSS grows with the
-# stack: 61.2, 61.8, 63.8 and 67.2 MB at 32, 64, 128 and 256, so from
-# 64 down the stacks stay within 1 MB of the peak the joins set.
+# the 8424 solutions of run_search(13), 2 cores, assembly and gram test
+# together, medians of five rounds: 73, 73, 76 and 77 ms at 32, 64, 128
+# and 256, while run_search(13)'s peak RSS grows with the stack: 59.9,
+# 60.5, 63.8 and 67.8 MB, so from 64 down the stacks stay within 1 MB
+# of the peak the joins set.
 _CERTIFY_BATCH = 64
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
@@ -299,20 +323,22 @@ class _JoinSide(NamedTuple):
     Pair p joins profile px[p] of catalog x and py[p] of necklaces y; its
     rows are keyed x-major from edges[p], and group g holds the pairs
     heads[g] .. heads[g + 1] - 1.  xw and yb are the position vectors
-    of x.flat times the side's coupling matrix and those of y.flat.
+    of x.flat times the side's coupling matrix and those of y.flat, and
+    yn[j] is the number of necklaces y.flat[j] stands for.
     """
 
     x: ClassMasks
     y: ClassMasks
     xw: np.ndarray
     yb: np.ndarray
+    yn: np.ndarray
     px: np.ndarray
     py: np.ndarray
     heads: np.ndarray
     edges: np.ndarray
 
 
-def _join_side(t: int, x: ClassMasks, y: ClassMasks, codes, sums, coupling) -> _JoinSide:
+def _join_side(t: int, x: ClassMasks, y: ClassMasks, yn, codes, sums, coupling) -> _JoinSide:
     """The side of the profile pairs of x and y whose code is in sums.
 
     codes holds one code per pair (x-major); a pair's group is the
@@ -327,7 +353,30 @@ def _join_side(t: int, x: ClassMasks, y: ClassMasks, codes, sums, coupling) -> _
     np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
     heads = np.searchsorted(group[order], np.arange(len(sums) + 1))
     xw = _position_bits(t, x.flat) @ coupling
-    return _JoinSide(x, y, xw, _position_bits(t, y.flat), px, py, heads, edges)
+    return _JoinSide(x, y, xw, _position_bits(t, y.flat), yn, px, py, heads, edges)
+
+
+def _join_sides(t: int, tables, c1, n2, w2, c3, n0, w0) -> tuple[_JoinSide, _JoinSide]:
+    """The A side (c1, n2) and the B side (c3, n0) on the profile code
+    sums both sides hold; w2 and w0 count the necklaces each of n2 and
+    n0 stands for."""
+    # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
+    # so a pair's digit sums stay below the base t + 1 and t minus a
+    # pair's digits stays positive; no carry or borrow can occur.
+    top = (t + 1) ** tables.half - 1
+    acodes = (c1.codes[:, None] + n2.codes[None, :]).ravel()
+    bcodes = (top - c3.codes[:, None] - n0.codes[None, :]).ravel()
+    both = np.sort(np.concatenate([_distinct(acodes), _distinct(bcodes)]))
+    sums = both[1:][both[1:] == both[:-1]]
+    a = _join_side(t, c1, n2, w2, acodes, sums, tables.coupling)
+    return a, _join_side(t, c3, n0, w0, bcodes, sums, -tables.coupling)
+
+
+def _cuts_a(a: _JoinSide, b: _JoinSide) -> bool:
+    """Whether the join cuts the A side's necklaces to multiplier orbits
+    rather than the B side's: the side that keys more rows is cut, A on
+    a tie."""
+    return a.edges[-1] >= b.edges[-1]
 
 
 def _side_keys(t: int, side: _JoinSide, g: int, h: int):
@@ -344,7 +393,8 @@ def _side_keys(t: int, side: _JoinSide, g: int, h: int):
     2t sum_m (2t+1)^(half-m), 2.1e14 at t = 19, below 2^53.  The group
     offset passes 2^53 by t = 17, so it is added in int64.  Returns the
     sorted keys, their key positions and a function that maps key
-    positions back to the x mask, y mask and y period of a row.
+    positions back to the x mask, y mask, y period and y necklace count
+    (side.yn) of a row.
     """
     base = (2 * t + 1) ** ((t - 1) // 2)
     x, y = side.x, side.y
@@ -365,7 +415,7 @@ def _side_keys(t: int, side: _JoinSide, g: int, h: int):
         q = np.searchsorted(at, pos, side="right") - 1
         i, j = np.divmod(pos - at[q], ny[q])
         iy = ys[q] + j
-        return x.flat[xs[q] + i], y.flat[iy], y.periods[iy]
+        return x.flat[xs[q] + i], y.flat[iy], y.periods[iy], side.yn[iy]
 
     return keys[order], order, rows_at
 
@@ -380,6 +430,15 @@ def _distinct(values) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+def _distinct_rows(rows) -> np.ndarray:
+    """The distinct rows of a 2-d array, in lexicographic order (as
+    _distinct, without numpy.ma)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _matches(akey, bkey):
@@ -409,39 +468,40 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     checked).  Profiles are matched first: an A profile pair (classes 1,
     2) meets a B pair (classes 3, 0) when its code sum equals t in every
     digit minus the B pair's codes, and each such meeting is one recipe.
-    Only matched pairs are keyed, in batches of whole groups holding at
-    most _CHUNK_ROWS A rows (a larger group is a batch of its own), and
-    joined on (group, coupling scores); the keys come from one float64
-    product per matched profile pair (see _side_keys), and a row is
-    built from its key position only when its key matches.  Each batch
-    probes the A keys into the B keys once, counts 2 p(n2) p(n0)
-    candidates per match and keeps the zero-coupling matches (the
-    module docstring's counting paragraph).  After the last batch each
-    kept match goes through one row_test_batch call as (A, rot_d B),
-    for each d that stands for a candidate.  A passing tuple gives two
-    hits per r below p(n2) with r - d below p(n0): the canonical forms
-    of its rotation by -r and of that rotation's class-2 complement.
+    Then the side with more rows in matched pairs, A on a tie (_cuts_a),
+    keeps one necklace per multiplier orbit, and the profiles are
+    matched again.  Only matched pairs are keyed, in batches of whole
+    groups holding at most _CHUNK_ROWS A rows (a larger group is a batch
+    of its own), and joined on (group, coupling scores); the keys come
+    from one float64 product per matched profile pair (see _side_keys),
+    and a row is built from its key position only when its key matches.
+    Each batch probes the A keys into the B keys once, counts 2 p(n2)
+    p(n0) candidates per match times the orbit size of its cut necklace
+    and keeps the zero-coupling matches (the module docstring's counting
+    paragraph).  After the last batch each kept match goes through one
+    row_test_batch call as (A, rot_d B), for each d that stands for a
+    candidate.  A passing tuple gives two rows per r below p(n2) with
+    r - d below p(n0), its rotation by -r and that rotation's class-2
+    complement, and the hits are the distinct canonical forms of their
+    images under every multiplier.
     """
     tables = mask_tables(t)
-    c1, n2 = class_masks(t, k1), necklace_masks(t, k2)
-    c3, n0 = class_masks(t, k3), necklace_masks(t, k0)
-    # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
-    # so a pair's digit sums stay below the base t + 1 and t minus a
-    # pair's digits stays positive; no carry or borrow can occur.
-    top = (t + 1) ** tables.half - 1
-    acodes = (c1.codes[:, None] + n2.codes[None, :]).ravel()
-    bcodes = (top - c3.codes[:, None] - n0.codes[None, :]).ravel()
-    both = np.sort(np.concatenate([_distinct(acodes), _distinct(bcodes)]))
-    sums = both[1:][both[1:] == both[:-1]]
-    a = _join_side(t, c1, n2, acodes, sums, tables.coupling)
-    b = _join_side(t, c3, n0, bcodes, sums, -tables.coupling)
+    c1, c3 = class_masks(t, k1), class_masks(t, k3)
+    n2, n0 = necklace_masks(t, k2), necklace_masks(t, k0)
+    w2, w0 = np.ones(len(n2.flat), dtype=np.int64), np.ones(len(n0.flat), dtype=np.int64)
+    a, b = _join_sides(t, tables, c1, n2, w2, c3, n0, w0)
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
+    if _cuts_a(a, b):
+        n2, w2 = necklace_orbits(t, k2)
+    else:
+        n0, w0 = necklace_orbits(t, k0)
+    a, b = _join_sides(t, tables, c1, n2, w2, c3, n0, w0)
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
     # (rows, p2, p0) of each batch's zero-coupling matches.
     kept = [(np.empty((0, 4), dtype=np.int64), *[np.empty(0, dtype=np.int64)] * 2)]
     checked = g = 0
-    while g < len(sums):
+    while g < len(a.heads) - 1:
         h = max(g + 1, int(np.searchsorted(arow, arow[g] + _CHUNK_ROWS, side="right")) - 1)
         bkey, border, brows = _side_keys(t, b, g, h)
         akey, aorder, arows = _side_keys(t, a, g, h)
@@ -454,12 +514,13 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
         # Freeing the batch's keys before its matched rows are built holds
         # run_search(13)'s peak RSS ~0.5 MB lower.
         del akey, bkey, aorder, border, i, j
-        u1, u2, p2 = arows(ia)
-        u3, u0, p0 = brows(ib)
-        # A match counts p2 p0 candidates, and the matches of the negated
-        # A keys, which this probe skips, weigh as much (the Canonical
-        # form and Reflection facts).
-        checked += 2 * int(p2 @ p0)
+        u1, u2, p2, o2 = arows(ia)
+        u3, u0, p0, o0 = brows(ib)
+        # A match counts p2 p0 candidates per necklace its cut side stands
+        # for (the Multipliers fact), and the matches of the negated A
+        # keys, which this probe skips, weigh as much (the Canonical form
+        # and Reflection facts).
+        checked += 2 * int((p2 * o2) @ (p0 * o0))
         kept.append((np.stack([u1, u2, u3, u0], axis=1)[zero], p2[zero], p0[zero]))
         g = h
     rows, p2, p0 = (np.concatenate(part) for part in zip(*kept))
@@ -472,13 +533,14 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     i, d = np.divmod(np.flatnonzero(live), t)
     tested = rotate(t, rows[i], d[:, None] * np.array([0, 0, 1, 1]))
     passed = row_test_batch(tables, *tested.T)
-    # Per set bit r of a passing live[i, d], the canonical forms of
-    # rot_-r (A, rot_d B) and of its class-2 complement: one of each parity.
+    # Per set bit r of a passing live[i, d], rot_-r (A, rot_d B) and its
+    # class-2 complement, one of each parity, under every multiplier.
     i, d, tested = i[passed], d[passed], tested[passed]
     k, r = np.divmod(np.flatnonzero((live[i, d, None] >> shifts) & 1), t)
     hits = rotate(t, tested[k], (t - r[:, None]) % t)
     hits = np.concatenate([hits, hits ^ np.array([0, (1 << t) - 1, 0, 0])])
-    return _canonical(t, hits), recipe_count, checked
+    hits = multiply(t, hits[:, None], multipliers(t)[:, None])
+    return _distinct_rows(_canonical(t, hits.reshape(-1, 4))), recipe_count, checked
 
 
 def _canonical(t: int, rows):
@@ -550,7 +612,7 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     # differ in some class budget, so no recipe repeats across them.
     solution_recipes = {p.tobytes() for p in ingredient_counts(mask_tables(t), rows).transpose(1, 0, 2)}
     # Subsets are built once the joins are done: at t = 13 building and
-    # sorting the 8424 subsets takes ~0.13 s, and built between joins
+    # sorting the 8424 subsets takes ~0.056 s, and built between joins
     # they raised the peak RSS from 61.8 to 63.5 MB.
     subsets, member = _subsets_of_rows(t, rows)
     for lo in range(0, len(subsets), _CERTIFY_BATCH):

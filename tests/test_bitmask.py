@@ -17,6 +17,8 @@ from cochad.bitmask import (
     ingredient_counts,
     join_classes,
     mask_tables,
+    multipliers,
+    multiply,
     pair_ci,
     rotate,
     row_test_batch,
@@ -58,6 +60,27 @@ def test_rotate_against_set_oracle():
         rows = rotate(t, masks[:, None], shifts).tolist()
         for mask, row in zip(masks.tolist(), rows):
             assert row == [mask_of(_shift(_posset(mask, t), s, t)) for s in shifts.tolist()]
+
+
+def test_multiply_against_set_oracle():
+    # mu_u moves position p to u p mod t, for each of the phi(t) u prime
+    # to t, and broadcasts masks against u; it turns rotation by m into
+    # rotation by u m.
+    rng = np.random.default_rng(19)
+    for t, phi in ((3, 2), (9, 6), (13, 12), (15, 8)):
+        units = multipliers(t)
+        assert units.tolist() == [u for u in range(1, t) if math.gcd(u, t) == 1]
+        assert len(units) == phi
+        masks = rng.integers(0, 1 << t, size=40)
+        rows = multiply(t, masks[:, None], units).tolist()
+        for mask, row in zip(masks.tolist(), rows):
+            want = [mask_of({u * p % t for p in _posset(mask, t)}) for u in units.tolist()]
+            assert row == want
+        for u in units.tolist():
+            assert multiply(t, int(masks[0]), u) == rows[0][units.tolist().index(u)]
+            for m in range(t):
+                rotated = multiply(t, rotate(t, masks, m), u)
+                assert np.array_equal(rotated, rotate(t, multiply(t, masks, u), u * m % t))
 
 
 def test_forbidden_positions():
@@ -413,10 +436,15 @@ def _canonical_images(t, rows, perm):
     return (_canonical(t, moved) << t * np.arange(4)).sum(axis=1)
 
 
-@pytest.mark.parametrize("t, orbits", [(3, 8), (5, 12), (7, 40), (9, 104), (11, 48)])
+@pytest.mark.parametrize(
+    "t, orbits",
+    [(3, 8), (5, 12), (7, 40), (9, 104), (11, 48), pytest.param(13, 120, marks=pytest.mark.slow)],
+)
 def test_affine_maps_permute_the_solutions(t, orbits):
     # Every p -> u p + c with gcd(u, t) = 1 sends the canonical solutions
-    # onto themselves once canonicalized (bitmask docstring), so the
+    # onto themselves once canonicalized (bitmask docstring); the search
+    # relies on it for the multipliers, expanding the hits of one
+    # necklace per multiplier orbit into all of them.  So the
     # least key of a solution's images names its orbit.  The mask route
     # is held to canonicalize itself on one solution per map.  Swapping
     # positions 0 and 1 is affine at t = 3 (p -> 2p + 1) only; from t = 5

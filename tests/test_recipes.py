@@ -1,6 +1,6 @@
 """Head-profile catalogs against the reference model in oracles.py."""
 
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from cochad.cocyclic import CoboundarySubset
 from cochad.distributions import enumerate_distributions
 from cochad.group import GroupContext
 from cochad.paths import check_residue_one_rows, is_hadamard_paths, row_adjacency
-from cochad.recipes import class_masks, necklace_masks
+from cochad.recipes import class_masks, necklace_masks, necklace_orbits
 from oracles import (
     Ingredient,
     class_domain,
@@ -237,6 +237,39 @@ def test_necklace_masks_are_least_rotations():
                     assert n == min(rotate(t, n, s) for s in range(t))
     # t = 9 has necklaces of period 3 besides the constant ones
     assert set(necklace_masks(9, 3).periods.tolist()) == {3, 9}
+
+
+@pytest.mark.parametrize("t", range(3, 15, 2))
+def test_necklace_orbits_keep_one_necklace_per_orbit(t):
+    # mu_u: p -> u p, gcd(u, t) = 1, maps necklaces onto necklaces.  The
+    # cut keeps one necklace of each orbit, grouped and coded as the
+    # necklaces, and weighs it by its orbit's size, so the weights sum
+    # to the number of necklaces.
+    units = [u for u in range(1, t) if gcd(u, t) == 1]
+
+    def least(x):
+        return min(rotate(t, x, s) for s in range(t))
+
+    def image(x, u):
+        return least(sum(1 << (u * p % t) for p in range(t) if (x >> p) & 1))
+
+    cut_some = False
+    for k in range(t // 2 + 1):
+        reps = necklace_masks(t, k)
+        cut, sizes = necklace_orbits(t, k)
+        orbit = {n: frozenset(image(n, u) for u in units) for n in reps.flat.tolist()}
+        kept = cut.flat.tolist()
+        assert len({orbit[n] for n in kept}) == len(kept)
+        assert {orbit[n] for n in kept} == set(orbit.values())
+        assert sizes.tolist() == [len(orbit[n]) for n in kept]
+        assert sizes.sum() == len(reps.flat)
+        assert np.array_equal(cut.periods, reps.periods[np.isin(reps.flat, kept)])
+        # Every group keeps a necklace, under the code of its group in reps.
+        assert (cut.sizes > 0).all()
+        group_of = dict(zip(reps.flat.tolist(), np.repeat(reps.codes, reps.sizes).tolist()))
+        assert [group_of[n] for n in kept] == np.repeat(cut.codes, cut.sizes).tolist()
+        cut_some |= len(kept) < len(reps.flat)
+    assert cut_some == (t > 3)
 
 
 def test_enumerate_recipes_frozen_counts():

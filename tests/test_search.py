@@ -266,14 +266,15 @@ def test_key_matches_count_by_periods(t):
 
 def test_join_batches_do_not_change_results(monkeypatch):
     # A batch is a run of whole groups with at most _CHUNK_ROWS A rows,
-    # or one larger group; at 24 most t = 9 groups are batches of their
-    # own.  Every batch keys the four one-size catalogs, probes its A keys
-    # into its B keys once, counts the candidates of its key matches by
-    # their necklace periods, and keeps the matches whose coupling key is
-    # zero; each joined assignment then makes one row test of those
-    # matches as they are, once per relative shift that stands for a
-    # candidate, whatever the batches.  Its mirror is never keyed or
-    # row-tested.
+    # or one larger group; at 24 a third of the t = 9 batches are single
+    # groups beyond the cap.  Every batch keys the four one-size
+    # catalogs, the larger side's necklaces cut to one per multiplier
+    # orbit, probes its A keys into its B keys once, counts the
+    # candidates of its key matches by their necklace periods and orbit
+    # sizes, and keeps the matches whose coupling key is zero; each
+    # joined assignment then makes one row test of those matches as they
+    # are, once per relative shift that stands for a candidate, whatever
+    # the batches.  Its mirror is never keyed or row-tested.
     events = []
     batches = []  # (groups, keyed rows) of each side of each batch
     probes = []  # the A key count of each _matches call
@@ -323,9 +324,11 @@ def test_join_batches_do_not_change_results(monkeypatch):
     monkeypatch.setattr(cochad.search, "_matches", matches)
     default = run_search(9)
     default_joins = joins()
-    # A quarter of the 37008 rows that keying both masks of every
-    # complement pair of each side would take.
-    assert sum(rows for _, rows in batches) == 9252
+    # Keying both masks of every complement pair of each side would take
+    # 37008 rows and the uncut one-size catalogs 9252; the cut to
+    # multiplier orbits, which also drops the groups the cut side no
+    # longer holds, leaves 3420.
+    assert sum(rows for _, rows in batches) == 3420
     # One probe per batch, with all of the batch's A keys.
     assert probes == [rows for _, rows in batches[1::2]]
     monkeypatch.setattr(cochad.search, "_CHUNK_ROWS", 24)
@@ -333,7 +336,7 @@ def test_join_batches_do_not_change_results(monkeypatch):
     probes.clear()
     tiny = run_search(9)
     tiny_joins = joins()
-    assert sum(rows for _, rows in batches) == 9252
+    assert sum(rows for _, rows in batches) == 3420
     assert probes == [rows for _, rows in batches[1::2]]
     assert tiny.candidates_checked == default.candidates_checked == 130248
     assert tiny == default
@@ -349,11 +352,63 @@ def test_join_batches_do_not_change_results(monkeypatch):
     for runs in (default_joins, tiny_joins):
         assert len(runs) == len(joined)
         assert {assignment for assignment, _, _ in runs} == joined
-        assert sum(rows for _, _, rows in runs) == 1863
+        # 1863 row-test rows before the cut to multiplier orbits.
+        assert sum(rows for _, _, rows in runs) == 945
     assert sum(n for _, n, _ in tiny_joins) > sum(n for _, n, _ in default_joins)
     abatches = batches[1::2]
     assert all(groups == 1 or rows <= 24 for groups, rows in abatches)
-    assert sum(groups == 1 and rows > 24 for groups, rows in abatches) > len(abatches) // 2
+    # 26 of the 74 batches at 24 are single groups beyond the cap; the
+    # cut side's smaller groups put the rest within it.
+    assert len(abatches) == 74
+    assert sum(groups == 1 and rows > 24 for groups, rows in abatches) == 26
+
+
+@pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
+def test_cut_side_does_not_change_the_join(t, monkeypatch):
+    # The Multipliers fact: cutting either side's necklaces to one per
+    # multiplier orbit, weighted by the orbit sizes, and expanding the
+    # hits through every multiplier gives the uncut join's hits, recipes
+    # and candidates, for every assignment.  The uncut join keeps every
+    # necklace with weight one.
+    assignments = {
+        tuple(entry_class_size(t, e) for e in assignment)
+        for dist in enumerate_distributions(t)
+        for assignment in dist.assignments()
+    }
+    picks = []
+    real_cut = cochad.search._cuts_a
+
+    def default(a, b):
+        picks.append(real_cut(a, b))
+        return picks[-1]
+
+    def joins():
+        out = {}
+        for k1, k2, k3, k0 in sorted(assignments):
+            hits, recipes, candidates = cochad.search._join_assignment(t, k1, k2, k3, k0)
+            out[k1, k2, k3, k0] = (sorted(map(tuple, hits.tolist())), recipes, candidates)
+            # The hits are distinct canonical rows.
+            assert len(set(out[k1, k2, k3, k0][0])) == len(hits)
+            assert np.array_equal(cochad.search._canonical(t, hits), hits)
+        return out
+
+    monkeypatch.setattr(cochad.search, "_cuts_a", default)
+    chosen = joins()
+    monkeypatch.setattr(cochad.search, "_cuts_a", lambda a, b: True)
+    cut_a = joins()
+    monkeypatch.setattr(cochad.search, "_cuts_a", lambda a, b: False)
+    cut_b = joins()
+
+    def uncut(t, k):
+        necklaces = necklace_masks(t, k)
+        return necklaces, np.ones(len(necklaces.flat), dtype=np.int64)
+
+    monkeypatch.setattr(cochad.search, "necklace_orbits", uncut)
+    full = joins()
+    assert chosen == cut_a == cut_b == full
+    assert sum(len(hits) for hits, _, _ in full.values()) > 0
+    # The default cuts A on some assignments and B on others.
+    assert set(picks) == {True, False}
 
 
 def _seeded_catalog(rng, t: int, groups: int) -> ClassMasks:
@@ -391,19 +446,22 @@ def test_side_keys_match_digit_keys(t):
     edges = np.zeros(npairs + 1, dtype=np.int64)
     np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
     yb = cochad.search._position_bits(t, y.flat)
+    # Each y mask's necklace count, read as 5 * mask + 2, another label.
+    yn = 5 * y.flat + 2
     for sign in (1, -1):
         xw = cochad.search._position_bits(t, x.flat) @ (sign * tables.coupling)
-        side = cochad.search._JoinSide(x, y, xw, yb, px, py, heads, edges)
+        side = cochad.search._JoinSide(x, y, xw, yb, yn, px, py, heads, edges)
         keys, order, rows_at = cochad.search._side_keys(t, side, g, h)
         assert (np.diff(keys) >= 0).all()
         # Pair p's keys sit at edges[p] - edges[first] onward.
         spans = np.diff(edges[first : stop + 1])
         pair = np.repeat(np.arange(first, stop), spans)
-        u, v, per = rows_at(order)
+        u, v, per, count = rows_at(order)
         assert np.array_equal(keys, coupling_key(tables, group[pair[order]] - g, u, v, sign))
         assert np.array_equal(per, 3 * v + 1)
+        assert np.array_equal(count, 5 * v + 2)
         assert np.array_equal(np.sort(order), np.arange(len(keys)))
-        u, v, _ = rows_at(np.arange(len(keys)))
+        u, v, _, _ = rows_at(np.arange(len(keys)))
         # Every row of every pair, each once.
         want = sorted(
             (p, xm, ym)
