@@ -221,11 +221,12 @@ _JOIN_LIMIT_T = 15
 _CHUNK_ROWS = 1 << 14
 
 # Solutions are certified in stacks of this many matrices.  Measured on
-# the 8424 solutions of run_search(13), 2 cores, assembly and gram test
-# together, medians of five rounds: 73, 73, 76 and 77 ms at 32, 64, 128
-# and 256, while run_search(13)'s peak RSS grows with the stack: 59.9,
-# 60.5, 63.8 and 67.8 MB, so from 64 down the stacks stay within 1 MB
-# of the peak the joins set.
+# the 8424 solutions of run_search(13), 2 cores, one BLAS thread,
+# assembly and gram test together, medians of nine interleaved rounds:
+# 72-77, 77, 82-85 and 170-179 ms at 32, 64, 128 and 256, while
+# run_search(13)'s max RSS grows with the stack: 50.9, 51.5-52.3, 54.8
+# and 58.8 MB.  So 32 would hold the peak ~1 MB lower at the same
+# speed; export_solutions formats stacks of the same size.
 _CERTIFY_BATCH = 64
 
 # Raw scan cap: 2^25 canonical subsets (t = 7) is the supported ceiling.
@@ -242,7 +243,7 @@ _BRUTE_LIMIT_BITS = 25
 # larger slab is reliably faster, and each costs RSS.
 _BRUTE_SLAB_ROWS = 1 << 18
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionRecord:
     """One certified Hadamard subset."""
 
@@ -338,11 +339,11 @@ class _JoinSide(NamedTuple):
     edges: np.ndarray
 
 
-def _join_side(t: int, x: ClassMasks, y: ClassMasks, yn, codes, sums, coupling) -> _JoinSide:
+def _join_side(t: int, x: ClassMasks, xw, y: ClassMasks, yn, codes, sums) -> _JoinSide:
     """The side of the profile pairs of x and y whose code is in sums.
 
-    codes holds one code per pair (x-major); a pair's group is the
-    position of its code in sums.
+    xw is the side's _JoinSide.xw; codes holds one code per pair
+    (x-major); a pair's group is the position of its code in sums.
     """
     group = np.searchsorted(sums, codes)
     # Codes are never negative, so the appended -1 matches no code.
@@ -352,14 +353,14 @@ def _join_side(t: int, x: ClassMasks, y: ClassMasks, yn, codes, sums, coupling) 
     edges = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(x.sizes[px] * y.sizes[py], out=edges[1:])
     heads = np.searchsorted(group[order], np.arange(len(sums) + 1))
-    xw = _position_bits(t, x.flat) @ coupling
     return _JoinSide(x, y, xw, _position_bits(t, y.flat), yn, px, py, heads, edges)
 
 
-def _join_sides(t: int, tables, c1, n2, w2, c3, n0, w0) -> tuple[_JoinSide, _JoinSide]:
+def _join_sides(t: int, tables, c1, aw, c3, bw, n2, w2, n0, w0) -> tuple[_JoinSide, _JoinSide]:
     """The A side (c1, n2) and the B side (c3, n0) on the profile code
-    sums both sides hold; w2 and w0 count the necklaces each of n2 and
-    n0 stands for."""
+    sums both sides hold; aw and bw are the catalogs' position vectors
+    times W and -W, and w2 and w0 count the necklaces each of n2 and n0
+    stands for."""
     # Codes compare digit by digit: runs[m][x] <= min(|x|, t - |x|) <= half,
     # so a pair's digit sums stay below the base t + 1 and t minus a
     # pair's digits stays positive; no carry or borrow can occur.
@@ -368,8 +369,8 @@ def _join_sides(t: int, tables, c1, n2, w2, c3, n0, w0) -> tuple[_JoinSide, _Joi
     bcodes = (top - c3.codes[:, None] - n0.codes[None, :]).ravel()
     both = np.sort(np.concatenate([_distinct(acodes), _distinct(bcodes)]))
     sums = both[1:][both[1:] == both[:-1]]
-    a = _join_side(t, c1, n2, w2, acodes, sums, tables.coupling)
-    return a, _join_side(t, c3, n0, w0, bcodes, sums, -tables.coupling)
+    a = _join_side(t, c1, aw, n2, w2, acodes, sums)
+    return a, _join_side(t, c3, bw, n0, w0, bcodes, sums)
 
 
 def _cuts_a(a: _JoinSide, b: _JoinSide) -> bool:
@@ -489,13 +490,17 @@ def _join_assignment(t: int, k1: int, k2: int, k3: int, k0: int):
     c1, c3 = class_masks(t, k1), class_masks(t, k3)
     n2, n0 = necklace_masks(t, k2), necklace_masks(t, k0)
     w2, w0 = np.ones(len(n2.flat), dtype=np.int64), np.ones(len(n0.flat), dtype=np.int64)
-    a, b = _join_sides(t, tables, c1, n2, w2, c3, n0, w0)
+    # The cut changes only the necklaces, so both builds share the
+    # catalogs' coupling rows.
+    aw = _position_bits(t, c1.flat) @ tables.coupling
+    bw = _position_bits(t, c3.flat) @ -tables.coupling
+    a, b = _join_sides(t, tables, c1, aw, c3, bw, n2, w2, n0, w0)
     recipe_count = int(np.diff(a.heads) @ np.diff(b.heads))
     if _cuts_a(a, b):
         n2, w2 = necklace_orbits(t, k2)
     else:
         n0, w0 = necklace_orbits(t, k0)
-    a, b = _join_sides(t, tables, c1, n2, w2, c3, n0, w0)
+    a, b = _join_sides(t, tables, c1, aw, c3, bw, n2, w2, n0, w0)
     arow = a.edges[a.heads]
     base = (2 * t + 1) ** tables.half
     # (rows, p2, p0) of each batch's zero-coupling matches.
@@ -570,17 +575,24 @@ def _subsets_of_rows(t: int, rows) -> tuple[list[CoboundarySubset], np.ndarray]:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     member = join_classes(t, rows)
     row, col = np.divmod(np.flatnonzero(member), 4 * t)
-    cols = (col + 1).tolist()
-    ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
-    indices = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
-    # A set of the tuples, not np.unique(rows, axis=0), which imports
-    # numpy.ma (~10 ms, ~1 MB of max RSS with numpy 2.4); like the join's
-    # _distinct, it keeps that import out of run_search and brute_force.
-    if len(set(indices)) != len(indices):
+    sizes = np.bincount(row, minlength=len(rows))
+    starts = np.cumsum(sizes) - sizes
+    # Each subset's sorted indices, left-aligned and padded with 0 (one
+    # column at least, as np.lexsort needs a key): a prefix then sorts
+    # first, as tuples do, and equal subsets become neighbours, so no
+    # np.unique(axis=0) is needed (it imports numpy.ma, ~10 ms and ~1 MB
+    # of max RSS with numpy 2.4).  Member bits in index order would sort
+    # (2, 4) before (2, 3, 5).
+    padded = np.zeros((len(rows), max(1, int(sizes.max(initial=0)))), dtype=np.uint8)
+    padded[row, np.arange(len(row)) - starts[row]] = col + 1
+    order = np.lexsort(padded.T[::-1])
+    padded = padded[order]
+    if (padded[1:] == padded[:-1]).all(axis=1).any():
         raise AssertionError("mask rows produced overlapping subsets")
-    order = sorted(range(len(rows)), key=indices.__getitem__)
+    cols = padded[padded > 0].tolist()
+    ends = np.cumsum(sizes[order]).tolist()
     ctx = GroupContext(t)
-    subsets = [CoboundarySubset(ctx, frozenset(indices[i])) for i in order]
+    subsets = [CoboundarySubset(ctx, cols[a:b]) for a, b in zip([0, *ends], ends)]
     return subsets, member[order]
 
 
@@ -611,9 +623,10 @@ def _search_distribution(t: int, distribution: Distribution) -> tuple[Distributi
     # A hit's recipe is the 4-tuple of its class profiles; assignments
     # differ in some class budget, so no recipe repeats across them.
     solution_recipes = {p.tobytes() for p in ingredient_counts(mask_tables(t), rows).transpose(1, 0, 2)}
-    # Subsets are built once the joins are done: at t = 13 building and
-    # sorting the 8424 subsets takes ~0.056 s, and built between joins
-    # they raised the peak RSS from 61.8 to 63.5 MB.
+    # Subsets are built and sorted in one call once the joins are done,
+    # ~0.06 s for the 8424 of t = 13.  Built per assignment between the
+    # joins, then merged, they peaked alike (51.8-51.9 against 51.7-51.9
+    # MB max RSS, three runs each).
     subsets, member = _subsets_of_rows(t, rows)
     for lo in range(0, len(subsets), _CERTIFY_BATCH):
         ok = is_hadamard_direct(assemble_members(t, member[lo : lo + _CERTIFY_BATCH]))

@@ -1,6 +1,8 @@
 """Representative tables, coboundaries, assembly, canonical forms, IO."""
 
+import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +143,21 @@ def test_subset_validation():
     with pytest.raises(ValueError, match=re.escape("indices [-1, 0, 13] outside [1, 12]")):
         CoboundarySubset(ctx, frozenset({13, 5, 0, -1, 12}))
     assert CoboundarySubset(ctx, frozenset()).sorted_indices() == ()
+
+
+def test_subset_indices_are_presized():
+    # Every route to a subset stores a frozenset sized as a copy of a set
+    # is, with no __dict__; equality and hashing see only the members.
+    ctx = GroupContext(7)
+    members = list(range(2, 27))
+    size = sys.getsizeof(frozenset(set(members)))
+    routes = [members, tuple(members), frozenset(members), iter(members), dict.fromkeys(members)]
+    subsets = [CoboundarySubset(ctx, route) for route in routes]
+    subsets.append(pickle.loads(pickle.dumps(subsets[0])))
+    for subset in subsets:
+        assert not hasattr(subset, "__dict__")
+        assert type(subset.indices) is frozenset and sys.getsizeof(subset.indices) == size
+        assert subset == subsets[0] and hash(subset) == hash(subsets[0])
 
 
 def test_assemble_matches_iterative_product():

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -641,10 +642,49 @@ def test_subsets_of_rows():
     assert [tuple((np.flatnonzero(m) + 1).tolist()) for m in member] == [
         s.sorted_indices() for s in subsets
     ]
+    shuffled = np.array(rows)[np.random.default_rng(7).permutation(840)]
+    again, again_member = _subsets_of_rows(7, shuffled)
+    assert again == subsets and np.array_equal(again_member, member)
     subsets, member = _subsets_of_rows(7, np.empty((0, 4), dtype=np.int64))
     assert subsets == [] and member.shape == (0, 28)
     with pytest.raises(AssertionError, match="mask rows produced overlapping subsets"):
         _subsets_of_rows(7, np.array(rows + rows[5:6]))
+
+
+def test_subsets_of_rows_puts_a_prefix_first():
+    # (2,) is a prefix of (2, 3), which is one of (2, 3, 4) and (2, 3, 5):
+    # each prefix comes first, as in tuple order, and (2, 3, 5) precedes
+    # (2, 4), which the order of the membership bits would reverse.
+    want = [(), (2,), (2, 3), (2, 3, 4), (2, 3, 5), (2, 4), (5,)]
+    rows = [tuple(split_classes(7, idx)[cls] for cls in CLASS_ORDER) for idx in reversed(want)]
+    subsets, member = _subsets_of_rows(7, np.array(rows))
+    assert [s.sorted_indices() for s in subsets] == want
+    assert [tuple((np.flatnonzero(m) + 1).tolist()) for m in member] == want
+
+
+def _assert_compact(subsets):
+    for subset in subsets:
+        assert not hasattr(subset, "__dict__")
+        assert sys.getsizeof(subset.indices) == sys.getsizeof(frozenset(set(subset.indices)))
+
+
+def test_solution_records_are_compact():
+    # Records and subsets carry no __dict__, and each index set is
+    # presized as a copy of a set is, whichever route built it: the join,
+    # brute force, canonicalize, a pickle round trip or a --jobs worker.
+    serial = run_search(9)
+    parallel = run_search(9, jobs=2)
+    unpickled = pickle.loads(pickle.dumps(serial))
+    assert parallel == serial and unpickled == serial
+    for report in (serial, parallel, unpickled):
+        assert not any(hasattr(rec, "__dict__") for rec in report.solutions())
+        _assert_compact(rec.subset for rec in report.solutions())
+    _assert_compact(brute_force(5).solutions)
+    ctx = GroupContext(9)
+    _assert_compact(
+        canonicalize(CoboundarySubset(ctx, {1, *rec.subset.indices}))[0]
+        for rec in serial.solutions()[:100]
+    )
 
 
 def test_certification_runs_in_stacks(monkeypatch):
